@@ -15,7 +15,7 @@
 //! `--tiny` shrinks every workload to smoke-test size (CI), `--out`
 //! selects the output directory (default: current directory), and
 //! `--workers` sets the worker count used for the parallel batch
-//! profiling entry (default 4).
+//! profiling entry and the optimizer's batch solves (default 4).
 
 use bench::{synthetic_feature, synthetic_power_model, synthetic_profile};
 use cmpsim::engine::{simulate, EngineKind, Placement, SimOptions};
@@ -410,7 +410,9 @@ fn bench_optimize(cfg: &Config) {
     let combined = CombinedModel::new(&machine, &power);
     let cancel = CancelToken::never();
     let reps = if cfg.tiny { 3 } else { 9 };
-    let n_exact = if cfg.tiny { 5 } else { 8 };
+    // Eight processes in both modes: CI gates the tiny run's exact
+    // search throughput against the committed full-mode number.
+    let n_exact = 8;
     let exact_procs: Vec<usize> = (0..n_exact).collect();
     let local_procs: Vec<usize> = (0..profiles.len()).collect();
     let mut entries = Vec::new();

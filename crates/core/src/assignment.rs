@@ -11,20 +11,18 @@
 //! into power. Averaging over the Eq. 10 process combinations yields the
 //! processor power of the assignment — using profiling data only.
 
+use crate::corun::{CorunTable, Pid};
 use crate::eqcache::{EqCacheStats, EquilibriumCache};
 use crate::equilibrium::{self, Equilibrium, SolveDiagnostics};
 use crate::feature::FeatureVector;
 use crate::perf::PerformanceModel;
 use crate::power::CorePowerModel;
 use crate::profile::ProcessProfile;
-use crate::sharing::combination_average_cancellable;
 use crate::ModelError;
-use cmpsim::hpc::EventRates;
 use cmpsim::machine::MachineConfig;
-use cmpsim::types::{CoreId, DieId};
+use cmpsim::types::DieId;
 use mathkit::sync::CancelToken;
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
+use std::cell::Cell;
 
 /// A tentative process-to-core mapping over profile indices.
 ///
@@ -195,29 +193,20 @@ pub struct DegradedEstimate {
     pub source: DegradedSource,
 }
 
-/// How [`CombinedModel::combination_power`] obtains equilibria: the
-/// exact solver (with a cancellation token) or the no-solve degraded
-/// tier (tracking the worst source used).
-enum SolveMode<'c> {
-    Exact(&'c CancelToken),
-    Degraded(&'c Cell<DegradedSource>),
-    /// Dry run for the batch prestage: records each contended co-run
-    /// set's profile indices (in combination-enumeration order) instead
-    /// of solving. The power values returned under this mode are
-    /// meaningless and must be discarded.
-    Collect(&'c RefCell<Vec<Vec<usize>>>),
-}
-
 /// The combined model: performance model + power model + profiles.
 ///
-/// Equilibrium solves are memoized: the same set of co-runners on the
-/// same cache recurs constantly — across the Eq. 10 combinations of one
-/// assignment, and across the candidate assignments of a Fig. 1 greedy
-/// sweep (dies the tentative process does not land on are unchanged).
-/// The cache key is the *canonically ordered* list of co-runner content
-/// fingerprints (histogram + API + SPI coefficients + associativity), so
-/// it stays valid even if callers re-index, re-order, or rebuild their
-/// profile slices, and permuted co-runner sets share one entry.
+/// Every estimate is scored from a co-run table: the die-level co-run
+/// sets the placement (or candidate sweep, or search) needs are interned
+/// once, their equilibria resolved once, and the Eq. 10/11 walk then
+/// reads per-member power and SPI from the table.
+///
+/// Equilibria are resolved through a memo cache, so the same co-runners
+/// on the same cache are solved once across requests — the reuse a
+/// long-running daemon gets. The cache key is the *canonically ordered*
+/// list of co-runner content fingerprints (histogram + API + SPI
+/// coefficients + associativity), so it stays valid even if callers
+/// re-index, re-order, or rebuild their profile slices, and permuted
+/// co-runner sets share one entry.
 ///
 /// The cache is bounded (sharded LRU, default
 /// [`eqcache::DEFAULT_CAPACITY`](crate::eqcache::DEFAULT_CAPACITY)
@@ -278,6 +267,11 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         self.machine
     }
 
+    /// The fitted core power model (Eq. 9).
+    pub(crate) fn power_model(&self) -> &M {
+        self.power
+    }
+
     /// Number of distinct co-runner sets whose equilibrium is currently
     /// memoized (diagnostics / tests).
     pub fn cached_equilibria(&self) -> usize {
@@ -333,18 +327,20 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         assignment: &Assignment,
         cancel: &CancelToken,
     ) -> Result<f64, ModelError> {
-        self.estimate_power_mode(profiles, assignment, &SolveMode::Exact(cancel))
+        let (mut table, queues) = self.staged_table(profiles, assignment, cancel)?;
+        table.fill(0, cancel)?;
+        table.power(&queues, cancel)
     }
 
     /// Degraded-tier estimate: answers **without running the equilibrium
     /// solvers**, for a serving layer whose circuit breaker has tripped.
-    /// Each contended combination is answered from the best available
+    /// Each contended co-run set is answered from the best available
     /// no-solve source — a (possibly stale) exact memo-cache entry, else
     /// the nearest cached neighbor co-run's split re-rated against the
     /// requesting processes' own curves, else the proportional-to-API
-    /// closed form — and the *worst* tier any combination needed is
-    /// reported alongside the estimate. Degraded lookups never promote,
-    /// insert, or count toward cache/fallback statistics.
+    /// closed form — and the *worst* tier any set needed is reported
+    /// alongside the estimate. Degraded lookups never promote, insert,
+    /// or count toward cache/fallback statistics.
     ///
     /// # Errors
     ///
@@ -356,125 +352,25 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         profiles: &[ProcessProfile],
         assignment: &Assignment,
     ) -> Result<DegradedEstimate, ModelError> {
-        let worst = Cell::new(DegradedSource::ExactCache);
-        let power_w =
-            self.estimate_power_mode(profiles, assignment, &SolveMode::Degraded(&worst))?;
-        Ok(DegradedEstimate { power_w, source: worst.get() })
+        let never = CancelToken::never();
+        let (mut table, queues) = self.staged_table(profiles, assignment, &never)?;
+        let source = table.fill_degraded();
+        Ok(DegradedEstimate { power_w: table.power(&queues, &never)?, source })
     }
 
-    fn estimate_power_mode(
-        &self,
-        profiles: &[ProcessProfile],
+    /// A table over `assignment`'s processes with every co-run set of
+    /// the placement staged, plus the placement as table queues.
+    fn staged_table<'t>(
+        &'t self,
+        profiles: &'t [ProcessProfile],
         assignment: &Assignment,
-        mode: &SolveMode<'_>,
-    ) -> Result<f64, ModelError> {
-        self.validate(profiles, assignment)?;
-        if let SolveMode::Exact(cancel) = mode {
-            let sets = self.collect_contended_sets(profiles, assignment)?;
-            self.prestage_sets(profiles, sets, 0, cancel)?;
-        }
-        let mut total = 0.0;
-        for die in 0..self.machine.dies {
-            total += self.die_power_mode(profiles, assignment, DieId(die as u32), mode)?;
-        }
-        Ok(total)
-    }
-
-    /// Enumerates the contended co-run sets (profile indices) an exact
-    /// estimate of `assignment` will need, in combination-enumeration
-    /// order, without solving anything.
-    fn collect_contended_sets(
-        &self,
-        profiles: &[ProcessProfile],
-        assignment: &Assignment,
-    ) -> Result<Vec<Vec<usize>>, ModelError> {
-        let sink = RefCell::new(Vec::new());
-        let mode = SolveMode::Collect(&sink);
-        for die in 0..self.machine.dies {
-            self.die_power_mode(profiles, assignment, DieId(die as u32), &mode)?;
-        }
-        Ok(sink.into_inner())
-    }
-
-    /// Batch-prestages the equilibrium cache: deduplicates `sets` on the
-    /// canonical fingerprint key, drops the ones already cached (peeked,
-    /// so no counters move), and solves the rest into the cache so the
-    /// per-combination walk afterwards runs on cache hits.
-    ///
-    /// Only engages when at least two distinct sets are missing: a single
-    /// missing set gains nothing from batching, and skipping it keeps the
-    /// hit/miss counters of simple estimates identical to the sequential
-    /// path. With warm-start enabled the missing sets are solved strictly
-    /// sequentially through [`CombinedModel::solve_cached`] in
-    /// first-encounter order — warm seeds depend on what was inserted
-    /// just before, so batching them would change the (deterministic)
-    /// seeding sequence.
-    ///
-    /// Per-set solve errors are *not* surfaced here: a failed set is left
-    /// uncached and the main walk re-encounters the same deterministic
-    /// error at its proper (lowest-index) position. Cancellation does
-    /// surface immediately.
-    fn prestage_sets(
-        &self,
-        profiles: &[ProcessProfile],
-        sets: Vec<Vec<usize>>,
-        workers: usize,
         cancel: &CancelToken,
-    ) -> Result<(), ModelError> {
-        if self.eq_cache.capacity() == 0 || sets.len() < 2 {
-            return Ok(());
-        }
-        let mut seen: BTreeSet<Vec<u64>> = BTreeSet::new();
-        let mut missing: Vec<Vec<usize>> = Vec::new();
-        for idxs in sets {
-            let running: Vec<(usize, &ProcessProfile)> =
-                idxs.iter().map(|&p| (0, &profiles[p])).collect();
-            let (_, key) = Self::canonical_key(&running);
-            if !seen.insert(key.clone()) || self.eq_cache.peek(&key).is_some() {
-                continue;
-            }
-            missing.push(idxs);
-        }
-        if missing.len() < 2 {
-            return Ok(());
-        }
-
-        if self.warm_start {
-            for idxs in &missing {
-                let running: Vec<(usize, &ProcessProfile)> =
-                    idxs.iter().map(|&p| (0, &profiles[p])).collect();
-                // Non-cancellation errors re-surface in order on the main walk.
-                if let Err(ModelError::Math(mathkit::MathError::Cancelled)) =
-                    self.solve_cached(&running, cancel)
-                {
-                    return Err(ModelError::Math(mathkit::MathError::Cancelled));
-                }
-            }
-            return Ok(());
-        }
-
-        let corun_sets: Vec<equilibrium::CorunSet<'_>> = missing
-            .iter()
-            .map(|idxs| equilibrium::CorunSet {
-                features: idxs.iter().map(|&p| &profiles[p].feature).collect(),
-            })
-            .collect();
-        let results = self.perf.solve_batch_results(&corun_sets, workers, cancel);
-        for (idxs, res) in missing.iter().zip(results) {
-            match res {
-                Ok(eq) => {
-                    let running: Vec<(usize, &ProcessProfile)> =
-                        idxs.iter().map(|&p| (0, &profiles[p])).collect();
-                    let (order, key) = Self::canonical_key(&running);
-                    self.memoize(&order, key, &eq);
-                }
-                Err(ModelError::Math(mathkit::MathError::Cancelled)) => {
-                    return Err(ModelError::Math(mathkit::MathError::Cancelled))
-                }
-                Err(_) => {} // leave uncached; the main walk reports it in order
-            }
-        }
-        Ok(())
+    ) -> Result<(CorunTable<'t, M>, Vec<Vec<Pid>>), ModelError> {
+        self.validate(profiles, assignment)?;
+        let mut table = CorunTable::for_assignment(self, profiles, assignment);
+        let queues = table.queues(assignment)?;
+        table.stage(&queues, cancel)?;
+        Ok((table, queues))
     }
 
     /// Estimated average power of one die's cores under `assignment`
@@ -489,7 +385,20 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         assignment: &Assignment,
         die: DieId,
     ) -> Result<f64, ModelError> {
-        self.die_power_mode(profiles, assignment, die, &SolveMode::Exact(&CancelToken::never()))
+        let never = CancelToken::never();
+        self.validate(profiles, assignment)?;
+        let die = die.0 as usize;
+        if die >= self.machine.dies {
+            return Err(ModelError::InvalidAssignment(format!(
+                "die {die} out of range: machine has {} dies",
+                self.machine.dies
+            )));
+        }
+        let mut table = CorunTable::for_assignment(self, profiles, assignment);
+        let queues = table.queues(assignment)?;
+        table.stage_die(die, &queues, &never)?;
+        table.fill(0, &never)?;
+        table.die_power(die, &queues, &never)
     }
 
     /// Estimated makespan of `assignment`: the worst per-process relative
@@ -497,12 +406,12 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     /// retiring a fixed instruction budget on a queue of length `q`
     /// finishes in time proportional to `q * mean_spi`, where `mean_spi`
     /// is its seconds-per-instruction averaged over the Eq. 10
-    /// combinations it runs in (contended SPIs come from the equilibrium
-    /// cache; a process running alone in a combination uses its predicted
-    /// full-cache SPI). The makespan is the maximum over all assigned
-    /// processes; an empty assignment has makespan `0.0`. Units are
-    /// seconds per instruction of budget — meaningful relative to other
-    /// placements of the same process set on the same machine.
+    /// combinations it runs in (contended SPIs come from the co-run
+    /// equilibria; a process running alone in a combination uses its
+    /// predicted full-cache SPI). The makespan is the maximum over all
+    /// assigned processes; an empty assignment has makespan `0.0`. Units
+    /// are seconds per instruction of budget — meaningful relative to
+    /// other placements of the same process set on the same machine.
     ///
     /// # Errors
     ///
@@ -529,145 +438,9 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         assignment: &Assignment,
         cancel: &CancelToken,
     ) -> Result<f64, ModelError> {
-        self.validate(profiles, assignment)?;
-        let sets = self.collect_contended_sets(profiles, assignment)?;
-        self.prestage_sets(profiles, sets, 0, cancel)?;
-        let mut makespan: f64 = 0.0;
-        for die in 0..self.machine.dies {
-            let cores = self.machine.cores_of(DieId(die as u32));
-            let queues: Vec<&[usize]> =
-                cores.iter().map(|c| assignment.processes_on(c.0 as usize)).collect();
-            let sizes: Vec<usize> = queues.iter().map(|q| q.len()).collect();
-            if sizes.iter().all(|&s| s == 0) {
-                continue;
-            }
-            // Average each process's SPI over the combinations it runs in
-            // (same odometer walk as the power estimate, same memoized
-            // equilibria), then scale by its queue length.
-            let mut spi_sum: Vec<Vec<f64>> = sizes.iter().map(|&s| vec![0.0; s]).collect();
-            let mut spi_n: Vec<Vec<u64>> = sizes.iter().map(|&s| vec![0u64; s]).collect();
-            let assoc = self.machine.l2_assoc() as f64;
-            let mut first_err: Option<ModelError> = None;
-            combination_average_cancellable(&sizes, cancel, |combo| {
-                if first_err.is_some() {
-                    return 0.0;
-                }
-                let mut running: Vec<(usize, &ProcessProfile)> = Vec::new();
-                for (slot, (&q, &pick)) in queues.iter().zip(combo).enumerate() {
-                    if pick == usize::MAX {
-                        continue;
-                    }
-                    running.push((slot, &profiles[q[pick]]));
-                }
-                if running.len() == 1 {
-                    // Alone on the die: no contention, predicted
-                    // full-cache SPI (mirrors the alone-power shortcut
-                    // of the power walk).
-                    let (slot, prof) = running[0];
-                    spi_sum[slot][combo[slot]] += prof.feature.spi_at(assoc);
-                    spi_n[slot][combo[slot]] += 1;
-                    return 0.0;
-                }
-                match self.solve_cached(&running, cancel) {
-                    Ok(eq) => {
-                        for (i, &(slot, _)) in running.iter().enumerate() {
-                            spi_sum[slot][combo[slot]] += eq.spis[i];
-                            spi_n[slot][combo[slot]] += 1;
-                        }
-                    }
-                    Err(e) => first_err = Some(e),
-                }
-                0.0
-            })?;
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            for (slot, sums) in spi_sum.iter().enumerate() {
-                for (pos, &sum) in sums.iter().enumerate() {
-                    let n = spi_n[slot][pos];
-                    if n == 0 {
-                        continue;
-                    }
-                    let completion = sizes[slot] as f64 * (sum / n as f64);
-                    makespan = makespan.max(completion);
-                }
-            }
-        }
-        Ok(makespan)
-    }
-
-    /// Batch-prestages the equilibrium memo cache for a set of candidate
-    /// assignments in one `solve_batch` pass (`workers = 0` means auto),
-    /// so subsequent per-assignment estimates run mostly on cache hits.
-    /// Invalid assignments are skipped — they report their own error when
-    /// actually estimated. Estimates are bit-identical with or without
-    /// prestaging, for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Math`]`(`[`mathkit::MathError::Cancelled`]`)` once
-    /// the token fires; per-set solve errors are deferred to the actual
-    /// estimates.
-    pub fn prestage_assignments(
-        &self,
-        profiles: &[ProcessProfile],
-        assignments: &[Assignment],
-        workers: usize,
-        cancel: &CancelToken,
-    ) -> Result<(), ModelError> {
-        let mut sets: Vec<Vec<usize>> = Vec::new();
-        for asg in assignments {
-            if self.validate(profiles, asg).is_err() {
-                continue;
-            }
-            sets.extend(self.collect_contended_sets(profiles, asg)?);
-        }
-        self.prestage_sets(profiles, sets, workers, cancel)
-    }
-
-    fn die_power_mode(
-        &self,
-        profiles: &[ProcessProfile],
-        assignment: &Assignment,
-        die: DieId,
-        mode: &SolveMode<'_>,
-    ) -> Result<f64, ModelError> {
-        let cores = self.machine.cores_of(die);
-        let queues: Vec<&[usize]> =
-            cores.iter().map(|c| assignment.processes_on(c.0 as usize)).collect();
-        let sizes: Vec<usize> = queues.iter().map(|q| q.len()).collect();
-        let idle_w = self.power.idle_core_watts();
-
-        if sizes.iter().all(|&s| s == 0) {
-            return Ok(idle_w * cores.len() as f64);
-        }
-
-        // Eq. 10: average the die power over all process combinations.
-        // Exact solves carry the caller's token into the walk; degraded
-        // and collect passes are uncancellable by design (bounded, and
-        // the prestage must record every set).
-        let never = CancelToken::never();
-        let cancel = match mode {
-            SolveMode::Exact(c) => *c,
-            _ => &never,
-        };
-        let mut first_err: Option<ModelError> = None;
-        let avg = combination_average_cancellable(&sizes, cancel, |combo| {
-            if first_err.is_some() {
-                return 0.0;
-            }
-            match self.combination_power(profiles, &queues, combo, idle_w, mode) {
-                Ok(p) => p,
-                Err(e) => {
-                    first_err = Some(e);
-                    0.0
-                }
-            }
-        })?;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(avg)
+        let (mut table, queues) = self.staged_table(profiles, assignment, cancel)?;
+        table.fill(0, cancel)?;
+        table.makespan(&queues, cancel)
     }
 
     /// Fig. 1's incremental query: estimated processor power after
@@ -716,12 +489,13 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     }
 
     /// Evaluates [`CombinedModel::estimate_after_assigning`] for every
-    /// candidate core in parallel (`workers = 0` means auto), returning
-    /// one estimate per entry of `cores` in order. The workers share the
-    /// equilibrium memo cache, so co-runner sets common to several
-    /// candidates (every die the tentative process does not touch) are
-    /// solved once. Estimation is deterministic, so the result is
-    /// identical to a sequential loop for any worker count.
+    /// candidate core, returning one estimate per entry of `cores` in
+    /// order. All candidates share one co-run table, so the sets common
+    /// to several candidates (every die the tentative process does not
+    /// touch) are resolved once, and the sets missing from the memo
+    /// cache are solved together over `workers` threads (`0` = auto).
+    /// The result is identical to a sequential loop for any worker
+    /// count.
     ///
     /// # Errors
     ///
@@ -749,9 +523,9 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     }
 
     /// [`CombinedModel::estimate_candidates`] with one cooperative
-    /// cancellation token shared by all workers: when it fires, every
-    /// in-flight candidate stops at its next solver iteration and the
-    /// sweep reports [`mathkit::MathError::Cancelled`].
+    /// cancellation token shared by the batch solve and the scoring
+    /// walk: once it fires, the sweep reports
+    /// [`mathkit::MathError::Cancelled`].
     ///
     /// # Errors
     ///
@@ -769,140 +543,127 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     where
         M: Sync,
     {
-        // Prestage the union of every candidate's contended co-run sets so
-        // the per-candidate estimates below mostly hit the shared memo
-        // cache. Invalid candidates are skipped here — they report their
-        // own error at the proper position in the sweep.
-        let mut sets: Vec<Vec<usize>> = Vec::new();
-        for &core in cores {
-            if core >= current.num_cores() {
-                continue;
-            }
-            let tentative = current.with_assigned(core, profile_idx);
-            if self.validate(profiles, &tentative).is_err() {
-                continue;
-            }
-            sets.extend(self.collect_contended_sets(profiles, &tentative)?);
+        // Invalid candidates report their own error at their position.
+        let tentatives: Vec<Result<Assignment, ModelError>> = cores
+            .iter()
+            .map(|&core| {
+                let tentative = current.try_with_assigned(core, profile_idx)?;
+                self.validate(profiles, &tentative)?;
+                Ok(tentative)
+            })
+            .collect();
+        let valid = || tentatives.iter().filter_map(|t| t.as_ref().ok());
+        let procs = valid().flat_map(|t| t.per_core.iter().flatten().copied());
+        let mut table = CorunTable::new(self, profiles, procs);
+        let mut queues = Vec::with_capacity(tentatives.len());
+        for tentative in valid() {
+            let q = table.queues(tentative)?;
+            table.stage(&q, cancel)?;
+            queues.push(q);
         }
-        self.prestage_sets(profiles, sets, workers, cancel)?;
-
-        mathkit::parallel::try_par_map(cores.to_vec(), workers, |_, core| {
-            self.estimate_after_assigning_cancellable(profiles, current, profile_idx, core, cancel)
-        })
-    }
-
-    /// Power of the die for one concrete process combination: the chosen
-    /// processes run simultaneously and share the die's cache.
-    fn combination_power(
-        &self,
-        profiles: &[ProcessProfile],
-        queues: &[&[usize]],
-        combo: &[usize],
-        idle_w: f64,
-        mode: &SolveMode<'_>,
-    ) -> Result<f64, ModelError> {
-        // Gather the simultaneously running processes.
-        let mut running: Vec<(usize, &ProcessProfile)> = Vec::new(); // (core slot, profile)
-        for (slot, (&q, &pick)) in queues.iter().zip(combo).enumerate() {
-            if pick == usize::MAX {
-                continue;
-            }
-            running.push((slot, &profiles[q[pick]]));
-        }
-        let idle_cores = queues.len() - running.len();
-
-        if running.len() == 1 {
-            // Fig. 1 scenario (1)/(2): no cache contention — use the
-            // measured alone power from the profiling vector.
-            return Ok(running[0].1.core_power_alone(idle_w) + idle_cores as f64 * idle_w);
-        }
-
-        // Contended: performance model predicts SPI and MPA per process.
-        let eq = match mode {
-            SolveMode::Exact(cancel) => self.solve_cached(&running, cancel)?,
-            SolveMode::Degraded(worst) => self.solve_degraded(&running, worst)?,
-            SolveMode::Collect(sink) => {
-                let idxs: Vec<usize> = queues
-                    .iter()
-                    .zip(combo)
-                    .filter(|&(_, &pick)| pick != usize::MAX)
-                    .map(|(&q, &pick)| q[pick])
-                    .collect();
-                sink.borrow_mut().push(idxs);
-                return Ok(0.0);
-            }
-        };
-        let mut power = idle_cores as f64 * idle_w;
-        for (i, (_slot, prof)) in running.iter().enumerate() {
-            let spi = eq.spis[i];
-            let mpa = eq.mpas[i];
-            let rates = EventRates {
-                ips: 1.0 / spi,
-                l1rps: prof.l1rpi / spi,
-                l2rps: prof.l2rpi / spi,
-                l2mps: prof.l2rpi * mpa / spi,
-                brps: prof.brpi / spi,
-                fpps: prof.fppi / spi,
+        table.fill(workers, cancel)?;
+        let mut queues = queues.iter();
+        let mut out = Vec::with_capacity(tentatives.len());
+        for tentative in tentatives {
+            tentative?;
+            let Some(q) = queues.next() else {
+                return Err(ModelError::EmptyInput("staged candidate placements"));
             };
-            power += self.power.predict_core(&rates);
+            out.push(table.power(q, cancel)?);
         }
-        Ok(power)
+        Ok(out)
     }
 
-    /// Memoized equilibrium solve for a co-runner set. The memo key is the
-    /// *canonically ordered* list of content fingerprints, so permuted
-    /// co-runner sets (`[a, b]` vs `[b, a]`) share one entry; the cached
-    /// per-process results are stored in canonical order and permuted back
-    /// to the caller's order on a hit. Because the solvers themselves work
-    /// in the same canonical order internally, a cache hit is bit-equal to
-    /// a fresh solve. Failed solves are not cached so transient-looking
-    /// errors keep surfacing.
-    fn solve_cached(
+    /// Resolves the equilibria of co-run sets for a co-run table fill:
+    /// one memo-cache lookup per set; the misses are solved — together
+    /// in one batch over `workers` threads, or with warm start one by one
+    /// in set order, since warm seeds depend on what was memoized just
+    /// before — and memoized. Each set's features and key must be in
+    /// canonical (fingerprint) order, so that cached and fresh results
+    /// line up position by position.
+    ///
+    /// # Errors
+    ///
+    /// Per-set solve errors come back in their set's slot;
+    /// [`mathkit::MathError::Cancelled`] aborts the whole fill.
+    pub(crate) fn resolve_sets(
         &self,
-        running: &[(usize, &ProcessProfile)],
+        sets: &[equilibrium::CorunSet<'_>],
+        keys: &[Vec<u64>],
+        workers: usize,
         cancel: &CancelToken,
-    ) -> Result<Equilibrium, ModelError> {
-        let (order, key) = Self::canonical_key(running);
-        if let Some(canon) = self.eq_cache.get(&key) {
-            return Ok(Self::permute_back(&canon, &order));
+    ) -> Result<Vec<Result<Equilibrium, ModelError>>, ModelError> {
+        let cached: Vec<Option<Equilibrium>> = keys.iter().map(|k| self.eq_cache.get(k)).collect();
+        let missing: Vec<usize> = (0..sets.len()).filter(|&i| cached[i].is_none()).collect();
+        let solved: Vec<Result<Equilibrium, ModelError>> = if self.warm_start {
+            let mut out = Vec::with_capacity(missing.len());
+            for &i in &missing {
+                let eq = match self.solve_warm(&sets[i].features, &keys[i], cancel) {
+                    Some(warm) => warm,
+                    None => self.perf.solve_cancellable(&sets[i].features, cancel),
+                };
+                out.push(self.memoize(&keys[i], eq)?);
+            }
+            out
+        } else {
+            let batch: Vec<equilibrium::CorunSet<'_>> = missing
+                .iter()
+                .map(|&i| equilibrium::CorunSet { features: sets[i].features.clone() })
+                .collect();
+            // Resolving an auto worker count reads the host's CPU quota;
+            // fewer than two sets run inline anyway.
+            let workers = if batch.len() < 2 { 1 } else { workers };
+            let results = self.perf.solve_batch_results(&batch, workers, cancel);
+            let mut out = Vec::with_capacity(missing.len());
+            for (&i, eq) in missing.iter().zip(results) {
+                out.push(self.memoize(&keys[i], eq)?);
+            }
+            out
+        };
+        let mut solved = solved.into_iter();
+        let mut out = Vec::with_capacity(sets.len());
+        for hit in cached {
+            match hit.map(Ok).or_else(|| solved.next()) {
+                Some(res) => out.push(res),
+                None => return Err(ModelError::EmptyInput("solved co-run sets")),
+            }
         }
-        let features: Vec<&FeatureVector> = running.iter().map(|(_, p)| &p.feature).collect();
-        if let Some(warm) = self.solve_warm(&features, &order, &key, cancel) {
-            let eq = warm?;
-            self.memoize(&order, key, &eq);
-            return Ok(eq);
-        }
-        let eq = self.perf.solve_cancellable(&features, cancel)?;
-        if eq.diagnostics.degraded || !eq.diagnostics.fallbacks.is_empty() {
-            self.eq_cache.note_fallback();
-        }
-        self.memoize(&order, key, &eq);
-        Ok(eq)
+        Ok(out)
     }
 
-    /// Stores `eq` (given in caller order) in the memo cache in canonical
-    /// order under `key`.
-    fn memoize(&self, order: &[usize], key: Vec<u64>, eq: &Equilibrium) {
-        let mut canon = eq.clone();
-        for (ci, &i) in order.iter().enumerate() {
-            canon.sizes[ci] = eq.sizes[i];
-            canon.mpas[ci] = eq.mpas[i];
-            canon.spis[ci] = eq.spis[i];
-            canon.apss[ci] = eq.apss[i];
+    /// Memoizes a fresh solve under its canonical `key` (failed solves
+    /// are not cached, so their errors keep surfacing) and counts it when
+    /// it needed the fallback chain. Cancellation aborts the fill.
+    fn memoize(
+        &self,
+        key: &[u64],
+        res: Result<Equilibrium, ModelError>,
+    ) -> Result<Result<Equilibrium, ModelError>, ModelError> {
+        match res {
+            Ok(eq) => {
+                if eq.diagnostics.degraded || !eq.diagnostics.fallbacks.is_empty() {
+                    self.eq_cache.note_fallback();
+                }
+                self.eq_cache.insert(key.to_vec(), eq.clone());
+                Ok(Ok(eq))
+            }
+            Err(ModelError::Math(mathkit::MathError::Cancelled)) => {
+                Err(ModelError::Math(mathkit::MathError::Cancelled))
+            }
+            Err(e) => Ok(Err(e)),
         }
-        self.eq_cache.insert(key, canon);
     }
 
     /// Warm-started Newton on a cache miss: seeds the solve from the
     /// nearest cached neighbor's split (see
-    /// [`CombinedModel::with_warm_start`]). Returns `None` when warm-start
-    /// is disabled, no neighbor exists, or the warm solve did not converge
-    /// (cold fallback — counted as a warm fallback but *not* as a solver
+    /// [`CombinedModel::with_warm_start`]). `features` and `key` are in
+    /// canonical order. Returns `None` when warm-start is disabled, no
+    /// neighbor exists, or the warm solve did not converge (cold
+    /// fallback — counted as a warm fallback but *not* as a solver
     /// fallback, since the cold path is expected to succeed normally).
     fn solve_warm(
         &self,
         features: &[&FeatureVector],
-        order: &[usize],
         key: &[u64],
         cancel: &CancelToken,
     ) -> Option<Result<Equilibrium, ModelError>> {
@@ -916,14 +677,14 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         // positions inherit the neighbor's canonical split, the (at most
         // one) unmatched position gets the leftover capacity.
         let a = self.machine.l2_assoc() as f64;
-        let mut seed_canon = vec![f64::NAN; key.len()];
+        let mut seed = vec![f64::NAN; key.len()];
         let mut matched_sum = 0.0;
         let (mut i, mut j) = (0, 0);
         // lint:allow(cancellation_propagation) -- bounded two-pointer sweep: i or j advances every iteration
         while i < key.len() && j < nkey.len() {
             match key[i].cmp(&nkey[j]) {
                 std::cmp::Ordering::Equal => {
-                    seed_canon[i] = near.sizes[j];
+                    seed[i] = near.sizes[j];
                     matched_sum += near.sizes[j];
                     i += 1;
                     j += 1;
@@ -933,17 +694,10 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             }
         }
         let leftover = (a - matched_sum).clamp(0.05, a);
-        for s in &mut seed_canon {
+        for s in &mut seed {
             if s.is_nan() {
                 *s = leftover;
             }
-        }
-
-        // Scatter the canonical seed back to caller order; the warm solver
-        // re-canonicalizes internally.
-        let mut seed = vec![0.0; key.len()];
-        for (ci, &idx) in order.iter().enumerate() {
-            seed[idx] = seed_canon[ci];
         }
 
         match equilibrium::solve_newton_warm_cancellable(
@@ -967,28 +721,27 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         }
     }
 
-    /// No-solve equilibrium for the degraded tier: exact (possibly stale)
-    /// cache entry, else the nearest cached neighbor's split re-rated on
-    /// the caller's own feature curves, else the proportional closed
-    /// form. Never iterates, never touches the fallback counter, and
-    /// never promotes or inserts cache entries — degraded traffic must
-    /// not distort the healthy path's statistics or recency order.
-    fn solve_degraded(
+    /// No-solve equilibrium for the degraded tier, for a set whose
+    /// `features` and `key` are in canonical order: exact (possibly
+    /// stale) cache entry, else the nearest cached neighbor's split
+    /// re-rated on the set's own feature curves, else the proportional
+    /// closed form. Never iterates, never touches the fallback counter,
+    /// and never promotes or inserts cache entries — degraded traffic
+    /// must not distort the healthy path's statistics or recency order.
+    pub(crate) fn resolve_degraded(
         &self,
-        running: &[(usize, &ProcessProfile)],
+        features: &[&FeatureVector],
+        key: &[u64],
         worst: &Cell<DegradedSource>,
     ) -> Result<Equilibrium, ModelError> {
-        let (order, key) = Self::canonical_key(running);
-        if let Some(canon) = self.eq_cache.peek(&key) {
-            return Ok(Self::permute_back(&canon, &order));
+        if let Some(canon) = self.eq_cache.peek(key) {
+            return Ok(canon);
         }
-        let features: Vec<&FeatureVector> = running.iter().map(|(_, p)| &p.feature).collect();
-        if let Some((_, near)) = self.eq_cache.neighbor(&key) {
+        if let Some((_, near)) = self.eq_cache.neighbor(key) {
             Self::note_worst(worst, DegradedSource::StaleNeighbor);
             // Borrow the neighbor's cache split positionally (both sides
             // are in canonical order) and re-rate MPA/SPI/APS against the
             // requesting processes' own curves.
-            let canon_features: Vec<&FeatureVector> = order.iter().map(|&i| features[i]).collect();
             let diag = SolveDiagnostics {
                 method: near.diagnostics.method,
                 iterations: 0,
@@ -996,41 +749,16 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
                 fallbacks: Vec::new(),
                 degraded: true,
             };
-            let canon = Equilibrium::from_sizes(
-                &canon_features,
+            return Ok(Equilibrium::from_sizes(
+                features,
                 near.sizes.clone(),
                 near.window,
                 near.cache_filled,
                 diag,
-            );
-            return Ok(Self::permute_back(&canon, &order));
+            ));
         }
         Self::note_worst(worst, DegradedSource::ProportionalSplit);
-        equilibrium::solve_proportional(&features, self.machine.l2_assoc())
-    }
-
-    /// Canonical solve order and memo key for a co-runner set: indices
-    /// sorted by (content fingerprint, index), and the fingerprints in
-    /// that order.
-    fn canonical_key(running: &[(usize, &ProcessProfile)]) -> (Vec<usize>, Vec<u64>) {
-        let fps: Vec<u64> = running.iter().map(|(_, p)| p.feature.content_fingerprint()).collect();
-        let mut order: Vec<usize> = (0..running.len()).collect();
-        order.sort_by_key(|&i| (fps[i], i));
-        let key: Vec<u64> = order.iter().map(|&i| fps[i]).collect();
-        (order, key)
-    }
-
-    /// Scatters a canonical-order equilibrium back to the caller's
-    /// process order.
-    fn permute_back(canon: &Equilibrium, order: &[usize]) -> Equilibrium {
-        let mut eq = canon.clone();
-        for (ci, &i) in order.iter().enumerate() {
-            eq.sizes[i] = canon.sizes[ci];
-            eq.mpas[i] = canon.mpas[ci];
-            eq.spis[i] = canon.spis[ci];
-            eq.apss[i] = canon.apss[ci];
-        }
-        eq
+        equilibrium::solve_proportional(features, self.machine.l2_assoc())
     }
 
     /// Records `tier` if it is worse than anything seen so far.
@@ -1048,25 +776,32 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
                 self.machine.num_cores()
             )));
         }
-        for c in 0..asg.num_cores() {
-            for &p in asg.processes_on(c) {
-                if p >= profiles.len() {
-                    return Err(ModelError::InvalidAssignment(format!(
-                        "profile index {p} out of range for {} profiles",
-                        profiles.len()
-                    )));
-                }
-                if profiles[p].feature.assoc() != self.machine.l2_assoc() {
-                    return Err(ModelError::InvalidAssignment(format!(
-                        "profile '{}' was built for {} ways, machine cache has {}",
-                        profiles[p].feature.name(),
-                        profiles[p].feature.assoc(),
-                        self.machine.l2_assoc()
-                    )));
-                }
-            }
+        for &p in asg.per_core.iter().flatten() {
+            self.validate_process(profiles, p)?;
         }
-        let _ = CoreId(0);
+        Ok(())
+    }
+
+    /// Checks that `p` indexes a profile built for this machine's cache.
+    pub(crate) fn validate_process(
+        &self,
+        profiles: &[ProcessProfile],
+        p: usize,
+    ) -> Result<(), ModelError> {
+        let Some(profile) = profiles.get(p) else {
+            return Err(ModelError::InvalidAssignment(format!(
+                "profile index {p} out of range for {} profiles",
+                profiles.len()
+            )));
+        };
+        if profile.feature.assoc() != self.machine.l2_assoc() {
+            return Err(ModelError::InvalidAssignment(format!(
+                "profile '{}' was built for {} ways, machine cache has {}",
+                profile.feature.name(),
+                profile.feature.assoc(),
+                self.machine.l2_assoc()
+            )));
+        }
         Ok(())
     }
 }
@@ -1650,11 +1385,11 @@ mod tests {
     }
 
     #[test]
-    fn candidate_prestage_leaves_results_bit_identical() {
-        // The candidate sweep prestages the union of all candidates'
-        // co-run sets through the batch solver; estimates must stay
-        // bit-identical to a model that never prestages (capacity 0
-        // disables the cache and with it the prestage).
+    fn candidate_sweep_is_bit_identical_without_memo_cache() {
+        // The candidate sweep resolves the union of all candidates'
+        // co-run sets through the memo cache and one batch solve;
+        // estimates must stay bit-identical to a model without a cache
+        // (capacity 0), whose sets are all fresh solves.
         let m = server();
         let pm = synthetic_power_model(&m);
         let a = synthetic_profile("a", 0.3, 0.02, &m);
@@ -1671,7 +1406,7 @@ mod tests {
         let xb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
         let yb: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
         assert_eq!(xb, yb);
-        assert!(staged.cached_equilibria() >= 2, "prestage should have populated the cache");
+        assert!(staged.cached_equilibria() >= 2, "the sweep should have populated the cache");
     }
 
     #[test]

@@ -702,7 +702,7 @@ pub fn solve_batch_cancellable(
 
 /// Batch driver shared by the public entry and `PerformanceModel`: solves
 /// each set with `strategy`, returning one `Result` per set (so callers
-/// like the cache prestage can keep going past individual failures).
+/// like a co-run table fill can keep going past individual failures).
 ///
 /// Work is deduplicated on the ordered tuple of content fingerprints
 /// (identical sets solve once; the solver is deterministic in exactly

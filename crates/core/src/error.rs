@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Error type for the modeling framework.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ModelError {
     /// A numerical routine failed.
     Math(mathkit::MathError),

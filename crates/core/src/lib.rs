@@ -62,6 +62,7 @@ pub mod sharing;
 pub mod spi;
 pub mod validate;
 
+mod corun;
 mod error;
 
 pub use error::ModelError;

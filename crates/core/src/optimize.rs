@@ -18,32 +18,41 @@
 //!
 //! # Search strategy
 //!
+//! Every engine scores placements from one co-run table per search:
+//! the die-level co-run sets the search reaches are interned once, their
+//! equilibria resolved once through the model's memo cache (the misses
+//! solved together in one `solve_batch` over
+//! [`OptimizeOptions::workers`]), and each placement is then scored by
+//! the same allocation-free Eq. 10/11 walk as
+//! [`CombinedModel::estimate_processor_power`] — bit-identical to it,
+//! and identical for any worker count.
+//!
 //! Small instances are solved **exactly**: a depth-first enumeration
 //! assigns processes (in canonical content order) to cores, with two
 //! symmetry-pruning rules — a process may only open the *first* empty
 //! core of a die and the *first* entirely-empty die, and
 //! permutation-equivalent complete placements are deduplicated by a
-//! canonical fingerprint (per-die sorted queues of content fingerprints,
-//! dies sorted). For the min-makespan objective an admissible
-//! alone-SPI bound additionally prunes subtrees that cannot beat the
-//! greedy incumbent (a process on a queue of length `q` can never finish
-//! faster than `q * alone_spi`, and queues only grow). All surviving
-//! leaves are batch-prestaged through the equilibrium memo cache
-//! (`solve_batch`) and then scored sequentially, so the answer is
-//! bit-identical for any worker count.
+//! fixed-width canonical key over process classes (per-die sorted queues,
+//! dies sorted). For the min-makespan objective an admissible alone-SPI
+//! bound additionally prunes subtrees that cannot beat the greedy
+//! incumbent (a process on a queue of length `q` can never finish faster
+//! than `q * alone_spi`, and queues only grow). Every co-run set the
+//! instance can produce is then staged into the table and filled in one
+//! batch, and the surviving classes are scored in enumeration order.
 //!
 //! When the distinct-leaf count exceeds
 //! [`OptimizeOptions::exhaustive_leaf_limit`], the engine switches to a
 //! **seeded local search**: a greedy construction plus seeded random
 //! restarts, refined by steepest-descent move (process to another core)
-//! and swap (two processes exchange cores) neighborhoods. Every
-//! neighborhood round batch-prestages its candidate assignments and then
+//! and swap (two processes exchange cores) neighborhoods. The table
+//! fills lazily: each round solves only the sets its neighbors add and
 //! scores them in a fixed order, so local search is deterministic for
 //! any worker count too — and, like the exact path, invariant under
 //! scrambled process order because all decisions are made in canonical
 //! content order.
 
 use crate::assignment::{Assignment, CombinedModel, DegradedEstimate, DegradedSource};
+use crate::corun::{CorunTable, Pid};
 use crate::power::CorePowerModel;
 use crate::profile::ProcessProfile;
 use crate::ModelError;
@@ -51,7 +60,7 @@ use mathkit::sync::CancelToken;
 use rand::Rng;
 use rand::SeedableRng;
 use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 /// What the optimizer minimizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,8 +124,9 @@ impl Objective {
 /// roughly that size.
 #[derive(Debug, Clone)]
 pub struct OptimizeOptions {
-    /// Worker threads for the batched equilibrium prestage (`0` = auto).
-    /// Results are bit-identical for any value.
+    /// Worker threads for the batched equilibrium solves that fill the
+    /// search's co-run table (`0` = auto). Results are bit-identical for
+    /// any value.
     pub workers: usize,
     /// Seed for the local-search random restarts. Same seed, same
     /// machine, same process contents: same answer.
@@ -194,15 +204,20 @@ impl Score {
     }
 }
 
+/// Terminators of the exact engine's leaf keys (process classes are
+/// smaller than any process count).
+const QUEUE_END: u32 = u32::MAX;
+const DIE_END: u32 = u32::MAX - 1;
+
 /// The core/die topology the search walks, plus the processes to place
 /// in canonical content order.
-struct Instance<'p> {
-    profiles: &'p [ProcessProfile],
+struct Instance {
     /// Profile index of each process, sorted by (content fingerprint,
     /// profile index) so scrambled inputs search identically.
     procs: Vec<usize>,
-    /// Content fingerprint per canonical process.
-    fps: Vec<u64>,
+    /// Symmetry class per canonical process: the rank of its content
+    /// fingerprint, so equal-content processes share a class.
+    classes: Vec<u32>,
     /// Predicted full-cache (alone) SPI per canonical process.
     alone_spi: Vec<f64>,
     /// Cores grouped by die, ascending.
@@ -210,10 +225,19 @@ struct Instance<'p> {
     num_cores: usize,
 }
 
-impl<'p> Instance<'p> {
+/// Scratch buffers of [`Instance::leaf_key`].
+#[derive(Default)]
+struct LeafScratch {
+    key: Vec<u32>,
+    dies: Vec<u32>,
+    spans: Vec<std::ops::Range<usize>>,
+    order: Vec<usize>,
+}
+
+impl Instance {
     fn new<M: CorePowerModel>(
         model: &CombinedModel<'_, M>,
-        profiles: &'p [ProcessProfile],
+        profiles: &[ProcessProfile],
         processes: &[usize],
     ) -> Result<Self, ModelError> {
         if processes.is_empty() {
@@ -224,17 +248,20 @@ impl<'p> Instance<'p> {
             return Err(ModelError::EmptyInput("machine cores"));
         }
         for &p in processes {
-            if p >= profiles.len() {
-                return Err(ModelError::InvalidAssignment(format!(
-                    "profile index {p} out of range for {} profiles",
-                    profiles.len()
-                )));
-            }
+            model.validate_process(profiles, p)?;
         }
-        let mut procs = processes.to_vec();
-        procs.sort_by_key(|&p| (profiles[p].feature.content_fingerprint(), p));
-        let fps: Vec<u64> =
-            procs.iter().map(|&p| profiles[p].feature.content_fingerprint()).collect();
+        let mut keyed: Vec<(u64, usize)> =
+            processes.iter().map(|&p| (profiles[p].feature.content_fingerprint(), p)).collect();
+        keyed.sort_unstable();
+        let mut classes = Vec::with_capacity(keyed.len());
+        let mut class = 0u32;
+        for (k, &(fp, _)) in keyed.iter().enumerate() {
+            if k > 0 && fp != keyed[k - 1].0 {
+                class += 1;
+            }
+            classes.push(class);
+        }
+        let procs: Vec<usize> = keyed.iter().map(|&(_, p)| p).collect();
         let assoc = machine.l2_assoc() as f64;
         let alone_spi: Vec<f64> =
             procs.iter().map(|&p| profiles[p].feature.spi_at(assoc)).collect();
@@ -247,30 +274,23 @@ impl<'p> Instance<'p> {
                     .collect()
             })
             .collect();
-        Ok(Instance {
-            profiles,
-            procs,
-            fps,
-            alone_spi,
-            cores_by_die,
-            num_cores: machine.num_cores(),
-        })
+        Ok(Instance { procs, classes, alone_spi, cores_by_die, num_cores: machine.num_cores() })
     }
 
     /// Symmetry-pruned candidate cores for the next process given the
-    /// current per-core fingerprint queues: all occupied cores, the first
-    /// empty core of each occupied die, and the first core of the first
-    /// entirely-empty die (per die size, should dies ever differ).
-    fn candidate_cores(&self, queues: &[Vec<u64>]) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut empty_die_sizes: Vec<usize> = Vec::new();
-        for cores in &self.cores_by_die {
-            if cores.iter().all(|&c| queues[c].is_empty()) {
-                if !empty_die_sizes.contains(&cores.len()) {
-                    empty_die_sizes.push(cores.len());
-                    if let Some(&first) = cores.first() {
-                        out.push(first);
-                    }
+    /// current per-core class queues, into `out`: all occupied cores, the
+    /// first empty core of each occupied die, and the first core of the
+    /// first entirely-empty die (per die size, should dies ever differ).
+    fn candidate_cores(&self, queues: &[Vec<u32>], out: &mut Vec<usize>) {
+        out.clear();
+        let empty = |cores: &[usize]| cores.iter().all(|&c| queues[c].is_empty());
+        for (d, cores) in self.cores_by_die.iter().enumerate() {
+            if empty(cores) {
+                let opened = self.cores_by_die[..d]
+                    .iter()
+                    .any(|earlier| earlier.len() == cores.len() && empty(earlier));
+                if let (false, Some(&first)) = (opened, cores.first()) {
+                    out.push(first);
                 }
                 continue;
             }
@@ -286,31 +306,36 @@ impl<'p> Instance<'p> {
                 }
             }
         }
-        out
     }
 
-    /// Canonical fingerprint of a complete placement: queues sorted
-    /// within each die, dies sorted, everything length-prefixed so
-    /// distinct shapes cannot collide.
-    fn leaf_key(&self, queues: &[Vec<u64>]) -> Vec<u64> {
-        let mut dies: Vec<Vec<u64>> = Vec::with_capacity(self.cores_by_die.len());
+    /// Canonical key of a complete placement over process classes, into
+    /// `scratch.key`: each die's queues sorted, then the dies sorted;
+    /// every queue closes with [`QUEUE_END`] and every die with
+    /// [`DIE_END`]. Placements equal up to relabeling cores within a die,
+    /// relabeling dies, and swapping equal-content processes share a key,
+    /// and every key of an instance has the same width: processes plus
+    /// cores plus dies.
+    fn leaf_key(&self, queues: &[Vec<u32>], scratch: &mut LeafScratch) {
+        let LeafScratch { key, dies, spans, order } = scratch;
+        dies.clear();
+        spans.clear();
         for cores in &self.cores_by_die {
-            let mut qs: Vec<&Vec<u64>> = cores.iter().map(|&c| &queues[c]).collect();
-            qs.sort();
-            let mut flat = Vec::new();
-            for q in qs {
-                flat.push(q.len() as u64);
-                flat.extend_from_slice(q);
+            order.clear();
+            order.extend_from_slice(cores);
+            order.sort_by(|&a, &b| queues[a].cmp(&queues[b]));
+            let start = dies.len();
+            for &c in order.iter() {
+                dies.extend_from_slice(&queues[c]);
+                dies.push(QUEUE_END);
             }
-            dies.push(flat);
+            dies.push(DIE_END);
+            spans.push(start..dies.len());
         }
-        dies.sort();
-        let mut key = Vec::new();
-        for die in dies {
-            key.push(die.len() as u64);
-            key.extend(die);
+        spans.sort_by(|a, b| dies[a.clone()].cmp(&dies[b.clone()]));
+        key.clear();
+        for span in spans.iter() {
+            key.extend_from_slice(&dies[span.clone()]);
         }
-        key
     }
 
     /// Materializes a choice vector (core per canonical process) as an
@@ -324,13 +349,13 @@ impl<'p> Instance<'p> {
     }
 
     /// Admissible makespan lower bound of any completion of the partial
-    /// placement behind `queues`/`lens`: a process on a queue of length
-    /// `q` can never finish faster than `q * alone_spi`, and queues only
-    /// grow as more processes are placed.
-    fn makespan_bound(&self, lens: &[usize], max_alone: &[f64]) -> f64 {
+    /// placement behind `queues`: a process on a queue of length `q` can
+    /// never finish faster than `q * alone_spi`, and queues only grow as
+    /// more processes are placed.
+    fn makespan_bound(&self, queues: &[Vec<u32>], max_alone: &[f64]) -> f64 {
         let mut bound: f64 = 0.0;
-        for (len, m) in lens.iter().zip(max_alone) {
-            bound = bound.max(*len as f64 * m);
+        for (q, m) in queues.iter().zip(max_alone) {
+            bound = bound.max(q.len() as f64 * m);
         }
         bound
     }
@@ -342,36 +367,124 @@ struct Metrics {
     score: Score,
 }
 
-fn score_assignment<M: CorePowerModel>(
-    model: &CombinedModel<'_, M>,
-    profiles: &[ProcessProfile],
-    asg: &Assignment,
+/// One search: the instance, the co-run table every engine scores
+/// from, and the scratch placement staged and scored through it.
+struct Search<'t, M: CorePowerModel> {
+    inst: Instance,
+    table: CorunTable<'t, M>,
+    /// Table process per canonical process.
+    pids: Vec<Pid>,
+    queues: Vec<Vec<Pid>>,
     objective: Objective,
-    cancel: &CancelToken,
-) -> Result<Metrics, ModelError> {
-    match objective {
-        Objective::MinPower => {
-            let p = model.estimate_processor_power_cancellable(profiles, asg, cancel)?;
-            Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: p } })
+    /// Worker threads for the table's batch solves (`0` = auto).
+    workers: usize,
+    cancel: &'t CancelToken,
+}
+
+impl<'t, M: CorePowerModel> Search<'t, M> {
+    fn new(
+        model: &'t CombinedModel<'t, M>,
+        profiles: &'t [ProcessProfile],
+        processes: &[usize],
+        objective: Objective,
+        workers: usize,
+        cancel: &'t CancelToken,
+    ) -> Result<Self, ModelError> {
+        let inst = Instance::new(model, profiles, processes)?;
+        let table = CorunTable::new(model, profiles, inst.procs.iter().copied());
+        let pids = inst.procs.iter().map(|&p| table.pid(p)).collect::<Result<_, _>>()?;
+        let queues = vec![Vec::new(); inst.num_cores];
+        Ok(Search { inst, table, pids, queues, objective, workers, cancel })
+    }
+
+    /// Loads a (possibly partial) choice vector into the scratch queues,
+    /// in canonical process order.
+    fn load(&mut self, choice: &[usize]) {
+        for q in &mut self.queues {
+            q.clear();
         }
-        Objective::MinMakespan => {
-            let m = model.estimate_makespan_cancellable(profiles, asg, cancel)?;
-            Ok(Metrics { power_w: None, score: Score { infeasible: false, value: m } })
+        for (&core, &pid) in choice.iter().zip(&self.pids) {
+            self.queues[core].push(pid);
         }
-        Objective::PowerCapped { cap_w } => {
-            let p = model.estimate_processor_power_cancellable(profiles, asg, cancel)?;
-            if p.total_cmp(&cap_w) == std::cmp::Ordering::Greater {
-                // Over budget: ordered after every feasible placement,
-                // least-power first, so the best infeasible placement is
-                // still tracked for the diagnostic.
-                return Ok(Metrics {
-                    power_w: Some(p),
-                    score: Score { infeasible: true, value: p },
+    }
+
+    /// Interns the co-run sets `choice` needs.
+    fn stage(&mut self, choice: &[usize]) -> Result<(), ModelError> {
+        self.load(choice);
+        self.table.stage(&self.queues, self.cancel)
+    }
+
+    /// Resolves every staged set not yet in the table.
+    fn fill(&mut self) -> Result<(), ModelError> {
+        self.table.fill(self.workers, self.cancel)
+    }
+
+    /// Scores a staged, filled placement under the search objective.
+    fn score(&mut self, choice: &[usize]) -> Result<Metrics, ModelError> {
+        self.load(choice);
+        let (table, queues, cancel) = (&mut self.table, &self.queues, self.cancel);
+        match self.objective {
+            Objective::MinPower => {
+                let p = table.power(queues, cancel)?;
+                Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: p } })
+            }
+            Objective::MinMakespan => {
+                let m = table.makespan(queues, cancel)?;
+                Ok(Metrics { power_w: None, score: Score { infeasible: false, value: m } })
+            }
+            Objective::PowerCapped { cap_w } => {
+                let p = table.power(queues, cancel)?;
+                if p.total_cmp(&cap_w) == std::cmp::Ordering::Greater {
+                    // Over budget: ordered after every feasible placement,
+                    // least-power first, so the best infeasible placement
+                    // is still tracked for the diagnostic.
+                    return Ok(Metrics {
+                        power_w: Some(p),
+                        score: Score { infeasible: true, value: p },
+                    });
+                }
+                let m = table.makespan(queues, cancel)?;
+                Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: m } })
+            }
+        }
+    }
+
+    /// Converts a winning choice vector into the public [`Optimized`],
+    /// computing both metrics from the table (the winner was scored, so
+    /// its sets are filled). Surfaces the infeasible-cap error.
+    fn finish(
+        mut self,
+        outcome: SearchOutcome,
+        method: SearchMethod,
+    ) -> Result<Optimized, ModelError> {
+        if outcome.score.infeasible {
+            // Only capped runs mark placements infeasible, and capped
+            // scoring always tracks the least-power placement for the
+            // diagnostic.
+            if let (Objective::PowerCapped { cap_w }, Some((best_power_w, choice))) =
+                (self.objective, &outcome.best_power)
+            {
+                return Err(ModelError::InfeasiblePowerCap {
+                    cap_w,
+                    best_power_w: *best_power_w,
+                    best_placement: self.inst.to_assignment(choice).to_queues(),
                 });
             }
-            let m = model.estimate_makespan_cancellable(profiles, asg, cancel)?;
-            Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: m } })
+            return Err(ModelError::EquilibriumFailed(
+                "internal: infeasible placement score without a power cap".into(),
+            ));
         }
+        self.load(&outcome.choice);
+        let power_w = self.table.power(&self.queues, self.cancel)?;
+        let makespan = self.table.makespan(&self.queues, self.cancel)?;
+        Ok(Optimized {
+            assignment: self.inst.to_assignment(&outcome.choice),
+            power_w,
+            makespan,
+            evaluated: outcome.evaluated,
+            pruned: outcome.pruned,
+            method,
+        })
     }
 }
 
@@ -399,12 +512,12 @@ pub fn optimize<M: CorePowerModel + Sync>(
     opts: &OptimizeOptions,
     cancel: &CancelToken,
 ) -> Result<Optimized, ModelError> {
-    let inst = Instance::new(model, profiles, processes)?;
-    if let Some(done) = exact_search(model, &inst, objective, opts, cancel)? {
-        return finish(model, &inst, objective, done, SearchMethod::Exact, cancel);
+    let mut search = Search::new(model, profiles, processes, objective, opts.workers, cancel)?;
+    if let Some(done) = exact_search(&mut search, opts.exhaustive_leaf_limit)? {
+        return search.finish(done, SearchMethod::Exact);
     }
-    let done = local_search(model, &inst, objective, opts, cancel)?;
-    finish(model, &inst, objective, done, SearchMethod::LocalSearch, cancel)
+    let done = local_search(&mut search, opts)?;
+    search.finish(done, SearchMethod::LocalSearch)
 }
 
 /// Exhaustive scoring of every placement (no pruning, no dedup) — the
@@ -423,50 +536,58 @@ pub fn brute_force<M: CorePowerModel + Sync>(
     objective: Objective,
     cancel: &CancelToken,
 ) -> Result<Optimized, ModelError> {
-    let inst = Instance::new(model, profiles, processes)?;
-    let n = inst.procs.len();
-    let c = inst.num_cores;
+    let mut search = Search::new(model, profiles, processes, objective, 0, cancel)?;
+    let n = search.inst.procs.len();
+    let c = search.inst.num_cores;
     let space = (c as u128).checked_pow(n as u32).unwrap_or(u128::MAX);
     if space > 1 << 20 {
         return Err(ModelError::InvalidAssignment(format!(
             "brute force over {c}^{n} placements is too large; use optimize()"
         )));
     }
+    // One pass interns every co-run set of the space, a second scores it.
     let mut choice = vec![0usize; n];
+    loop {
+        cancel.check()?;
+        search.stage(&choice)?;
+        if !next_choice(&mut choice, c) {
+            break;
+        }
+    }
+    search.fill()?;
     let mut best: Option<(Score, Vec<usize>)> = None;
     let mut best_power: Option<(f64, Vec<usize>)> = None;
     let mut evaluated = 0u64;
-    'space: loop {
-        let asg = inst.to_assignment(&choice);
-        let metrics = score_assignment(model, profiles, &asg, objective, cancel)?;
+    loop {
+        cancel.check()?;
+        let metrics = search.score(&choice)?;
         evaluated += 1;
         track_best(&mut best, &mut best_power, &metrics, &choice);
-        // Odometer increment over the C^N space.
-        let mut k = 0;
-        loop {
-            if k == n {
-                break 'space;
-            }
-            choice[k] += 1;
-            if choice[k] < c {
-                break;
-            }
-            choice[k] = 0;
-            k += 1;
+        if !next_choice(&mut choice, c) {
+            break;
         }
     }
     // n >= 1 and c >= 1, so at least one placement was scored.
     let Some((score, choice)) = best else {
         return Err(ModelError::EmptyInput("placements to score"));
     };
-    finish(
-        model,
-        &inst,
-        objective,
+    search.finish(
         SearchOutcome { score, choice, evaluated, pruned: 0, best_power },
         SearchMethod::Exact,
-        cancel,
     )
+}
+
+/// Odometer increment over the `cores^N` placement space, first process
+/// fastest; `false` once the space wraps around to all zeros.
+fn next_choice(choice: &mut [usize], cores: usize) -> bool {
+    for core in choice.iter_mut() {
+        *core += 1;
+        if *core < cores {
+            return true;
+        }
+        *core = 0;
+    }
+    false
 }
 
 /// A fast, solver-free placement for the service's degraded tier: greedy
@@ -516,7 +637,7 @@ pub fn greedy_min_power_degraded<M: CorePowerModel>(
     Ok((asg, DegradedEstimate { power_w: last, source: worst.get() }))
 }
 
-/// What a search engine hands back to [`finish`].
+/// What a search engine hands back to [`Search::finish`].
 struct SearchOutcome {
     score: Score,
     choice: Vec<usize>,
@@ -551,121 +672,79 @@ fn track_best(
     }
 }
 
-/// Converts a winning choice vector into the public [`Optimized`],
-/// computing whichever of the two metrics the search did not need (all
-/// equilibria are memoized by now, so this is nearly free). Surfaces the
-/// infeasible-cap error.
-fn finish<M: CorePowerModel>(
-    model: &CombinedModel<'_, M>,
-    inst: &Instance<'_>,
-    objective: Objective,
-    outcome: SearchOutcome,
-    method: SearchMethod,
-    cancel: &CancelToken,
-) -> Result<Optimized, ModelError> {
-    if outcome.score.infeasible {
-        // Only capped runs mark placements infeasible, and capped scoring
-        // always tracks the least-power placement for the diagnostic.
-        if let (Objective::PowerCapped { cap_w }, Some((best_power_w, choice))) =
-            (objective, &outcome.best_power)
-        {
-            return Err(ModelError::InfeasiblePowerCap {
-                cap_w,
-                best_power_w: *best_power_w,
-                best_placement: inst.to_assignment(choice).to_queues(),
-            });
-        }
-        return Err(ModelError::EquilibriumFailed(
-            "internal: infeasible placement score without a power cap".into(),
-        ));
-    }
-    let assignment = inst.to_assignment(&outcome.choice);
-    let power_w = model.estimate_processor_power_cancellable(inst.profiles, &assignment, cancel)?;
-    let makespan = model.estimate_makespan_cancellable(inst.profiles, &assignment, cancel)?;
-    Ok(Optimized {
-        assignment,
-        power_w,
-        makespan,
-        evaluated: outcome.evaluated,
-        pruned: outcome.pruned,
-        method,
-    })
-}
-
 /// Depth-first enumeration over symmetry classes. Returns `Ok(None)`
-/// when the class count exceeds the exhaustive limit (local search takes
-/// over).
-fn exact_search<M: CorePowerModel + Sync>(
-    model: &CombinedModel<'_, M>,
-    inst: &Instance<'_>,
-    objective: Objective,
-    opts: &OptimizeOptions,
-    cancel: &CancelToken,
+/// when the class count exceeds `limit` (local search takes over).
+fn exact_search<M: CorePowerModel>(
+    search: &mut Search<'_, M>,
+    limit: u64,
 ) -> Result<Option<SearchOutcome>, ModelError> {
     // Greedy incumbent: seeds the makespan bound and guarantees the
     // exact answer is never worse than the constructive one.
-    let greedy_choice = greedy_construct(model, inst, objective, cancel)?;
-    let incumbent_bound = match objective {
-        Objective::MinMakespan => {
-            let asg = inst.to_assignment(&greedy_choice);
-            Some(model.estimate_makespan_cancellable(inst.profiles, &asg, cancel)?)
-        }
+    let greedy_choice = greedy_construct(search)?;
+    let incumbent_bound = match search.objective {
+        Objective::MinMakespan => Some(search.score(&greedy_choice)?.score.value),
         _ => None,
     };
 
-    // Pass 1 (dry, no solves): enumerate symmetry classes, dedup by
-    // canonical fingerprint, apply the admissible makespan bound, and
-    // collect one representative choice vector per class. Bails out as
-    // soon as the class count exceeds the limit.
+    // Enumerate symmetry classes, dedup by canonical key, apply the
+    // admissible makespan bound, and keep one representative choice
+    // vector per class (flat, `n` cores per leaf). Bails out as soon as
+    // the class count exceeds the limit, before any set is staged.
+    let inst = &search.inst;
+    let cancel = search.cancel;
     let n = inst.procs.len();
-    let mut seen: BTreeSet<Vec<u64>> = BTreeSet::new();
-    let mut leaves: Vec<Vec<usize>> = Vec::new();
+    let mut seen: HashSet<Box<[u32]>> = HashSet::new();
+    let mut scratch = LeafScratch::default();
+    let mut leaves: Vec<usize> = Vec::new();
+    // Equal-content processes are the only source of equivalent leaves:
+    // with every class distinct, the candidate rule already yields one
+    // leaf per class, so the keys are only built when a class repeats.
+    let dedup = inst.classes.windows(2).any(|w| w[0] == w[1]);
     let mut dup_pruned = 0u64;
-    let mut bound_pruned = 0u64;
     let mut over_limit = false;
-    {
-        let mut choice: Vec<usize> = Vec::with_capacity(n);
-        let mut queues: Vec<Vec<u64>> = vec![Vec::new(); inst.num_cores];
-        let mut lens = vec![0usize; inst.num_cores];
-        let mut max_alone = vec![0.0f64; inst.num_cores];
-        dfs(
-            inst,
-            0,
-            &mut choice,
-            &mut queues,
-            &mut lens,
-            &mut max_alone,
-            incumbent_bound,
-            &mut |leaf_key, choice| {
-                if !seen.insert(leaf_key) {
-                    dup_pruned += 1;
-                    return true;
-                }
-                if leaves.len() as u64 >= opts.exhaustive_leaf_limit {
-                    over_limit = true;
-                    return false;
-                }
-                leaves.push(choice.to_vec());
-                true
-            },
-            &mut bound_pruned,
-        );
+    let mut cancelled = false;
+    let mut dfs = Dfs::new(inst, incumbent_bound);
+    dfs.walk(0, &mut |queues, choice| {
+        if cancel.is_cancelled() {
+            cancelled = true;
+            return false;
+        }
+        if dedup {
+            inst.leaf_key(queues, &mut scratch);
+            if seen.contains(scratch.key.as_slice()) {
+                dup_pruned += 1;
+                return true;
+            }
+        }
+        if (leaves.len() / n) as u64 >= limit {
+            over_limit = true;
+            return false;
+        }
+        if dedup {
+            seen.insert(scratch.key.as_slice().into());
+        }
+        leaves.extend_from_slice(choice);
+        true
+    });
+    let bound_pruned = dfs.pruned;
+    if cancelled {
+        return Err(ModelError::Math(mathkit::MathError::Cancelled));
     }
     if over_limit {
         return Ok(None);
     }
     let pruned = dup_pruned + bound_pruned;
 
-    // Pass 2: one batched prestage over every surviving class, then
-    // sequential scoring in enumeration order (ties keep the earlier
-    // leaf). Workers only affect the prestage, never the bits.
-    let assignments: Vec<Assignment> = leaves.iter().map(|c| inst.to_assignment(c)).collect();
-    model.prestage_assignments(inst.profiles, &assignments, opts.workers, cancel)?;
+    // Stage every co-run set the instance can produce, resolve them in
+    // one batch, then score in enumeration order (ties keep the earlier
+    // leaf). Workers only affect the batch solve, never the bits.
+    search.table.stage_all(&search.pids);
+    search.fill()?;
     let mut best: Option<(Score, Vec<usize>)> = None;
     let mut best_power: Option<(f64, Vec<usize>)> = None;
     let mut evaluated = 0u64;
-    for (choice, asg) in leaves.iter().zip(&assignments) {
-        let metrics = score_assignment(model, inst.profiles, asg, objective, cancel)?;
+    for choice in leaves.chunks_exact(n) {
+        let metrics = search.score(choice)?;
         evaluated += 1;
         track_best(&mut best, &mut best_power, &metrics, choice);
     }
@@ -673,8 +752,7 @@ fn exact_search<M: CorePowerModel + Sync>(
     // The greedy incumbent competes too (it is always one of the
     // enumerated classes unless the bound pruned its subtree, which can
     // only happen on a tie).
-    let greedy_asg = inst.to_assignment(&greedy_choice);
-    let metrics = score_assignment(model, inst.profiles, &greedy_asg, objective, cancel)?;
+    let metrics = search.score(&greedy_choice)?;
     evaluated += 1;
     track_best(&mut best, &mut best_power, &metrics, &greedy_choice);
 
@@ -685,74 +763,100 @@ fn exact_search<M: CorePowerModel + Sync>(
     Ok(Some(SearchOutcome { score, choice, evaluated, pruned, best_power }))
 }
 
-/// The shared DFS of the exact engine's dry pass. `visit` gets each
-/// not-yet-pruned leaf (canonical key + choice vector) and returns
-/// `false` to abort the whole walk.
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    inst: &Instance<'_>,
-    k: usize,
-    choice: &mut Vec<usize>,
-    queues: &mut Vec<Vec<u64>>,
-    lens: &mut Vec<usize>,
-    max_alone: &mut Vec<f64>,
+/// The exact engine's depth-first walk over symmetry classes: processes
+/// in canonical order, each onto a candidate core.
+struct Dfs<'a> {
+    inst: &'a Instance,
+    choice: Vec<usize>,
+    /// Process classes per core.
+    queues: Vec<Vec<u32>>,
+    /// Largest alone SPI per core (for the makespan bound).
+    max_alone: Vec<f64>,
+    /// Candidate cores per depth.
+    candidates: Vec<Vec<usize>>,
     incumbent_bound: Option<f64>,
-    visit: &mut dyn FnMut(Vec<u64>, &[usize]) -> bool,
-    pruned: &mut u64,
-) -> bool {
-    if k == inst.procs.len() {
-        let key = inst.leaf_key(queues);
-        return visit(key, choice);
-    }
-    for core in inst.candidate_cores(queues) {
-        let prev_max = max_alone[core];
-        choice.push(core);
-        queues[core].push(inst.fps[k]);
-        lens[core] += 1;
-        max_alone[core] = max_alone[core].max(inst.alone_spi[k]);
+    /// Subtrees cut by the makespan bound.
+    pruned: u64,
+}
 
+impl<'a> Dfs<'a> {
+    fn new(inst: &'a Instance, incumbent_bound: Option<f64>) -> Self {
+        let n = inst.procs.len();
+        Dfs {
+            inst,
+            choice: Vec::with_capacity(n),
+            queues: vec![Vec::new(); inst.num_cores],
+            max_alone: vec![0.0; inst.num_cores],
+            candidates: vec![Vec::new(); n],
+            incumbent_bound,
+            pruned: 0,
+        }
+    }
+
+    /// Places process `k` and below; `visit` gets each not-yet-pruned
+    /// leaf (class queues + choice vector) and returns `false` to abort
+    /// the whole walk.
+    fn walk<V: FnMut(&[Vec<u32>], &[usize]) -> bool>(&mut self, k: usize, visit: &mut V) -> bool {
+        let inst = self.inst;
+        if k == inst.procs.len() {
+            return visit(&self.queues, &self.choice);
+        }
+        let mut candidates = std::mem::take(&mut self.candidates[k]);
+        inst.candidate_cores(&self.queues, &mut candidates);
         let mut cont = true;
-        let mut bounded = false;
-        if let Some(limit) = incumbent_bound {
+        for &core in &candidates {
+            let prev_max = self.max_alone[core];
+            self.choice.push(core);
+            self.queues[core].push(inst.classes[k]);
+            self.max_alone[core] = prev_max.max(inst.alone_spi[k]);
+
             // Strictly-worse subtrees cannot improve on the incumbent;
             // ties are kept so the incumbent stays reachable.
-            if inst.makespan_bound(lens, max_alone).total_cmp(&limit) == std::cmp::Ordering::Greater
-            {
-                *pruned += 1;
-                bounded = true;
+            let bounded = self.incumbent_bound.is_some_and(|limit| {
+                inst.makespan_bound(&self.queues, &self.max_alone).total_cmp(&limit)
+                    == std::cmp::Ordering::Greater
+            });
+            if bounded {
+                self.pruned += 1;
+            } else {
+                cont = self.walk(k + 1, visit);
+            }
+
+            self.max_alone[core] = prev_max;
+            self.queues[core].pop();
+            self.choice.pop();
+            if !cont {
+                break;
             }
         }
-        if !bounded {
-            cont =
-                dfs(inst, k + 1, choice, queues, lens, max_alone, incumbent_bound, visit, pruned);
-        }
-
-        max_alone[core] = prev_max;
-        lens[core] -= 1;
-        queues[core].pop();
-        choice.pop();
-        if !cont {
-            return false;
-        }
+        self.candidates[k] = candidates;
+        cont
     }
-    true
 }
 
 /// Greedy construction in canonical process order: each process goes to
-/// the core that scores best given everything placed so far.
+/// the core that scores best given everything placed so far. Each step
+/// stages and fills its candidates' sets before scoring them.
 fn greedy_construct<M: CorePowerModel>(
-    model: &CombinedModel<'_, M>,
-    inst: &Instance<'_>,
-    objective: Objective,
-    cancel: &CancelToken,
+    search: &mut Search<'_, M>,
 ) -> Result<Vec<usize>, ModelError> {
-    let mut choice: Vec<usize> = Vec::with_capacity(inst.procs.len());
-    let mut asg = Assignment::new(inst.num_cores);
-    for (k, &p) in inst.procs.iter().enumerate() {
+    let n = search.inst.procs.len();
+    let cores = search.inst.num_cores;
+    let mut choice: Vec<usize> = Vec::with_capacity(n);
+    for _ in 0..n {
+        for core in 0..cores {
+            choice.push(core);
+            let staged = search.stage(&choice);
+            choice.pop();
+            staged?;
+        }
+        search.fill()?;
         let mut best: Option<(Score, usize)> = None;
-        for core in 0..inst.num_cores {
-            let cand = asg.try_with_assigned(core, p)?;
-            let metrics = score_assignment(model, inst.profiles, &cand, objective, cancel)?;
+        for core in 0..cores {
+            choice.push(core);
+            let metrics = search.score(&choice);
+            choice.pop();
+            let metrics = metrics?;
             let better = match &best {
                 None => true,
                 Some((s, _)) => metrics.score.better_than(s),
@@ -765,27 +869,22 @@ fn greedy_construct<M: CorePowerModel>(
         let Some((_, core)) = best else {
             return Err(ModelError::EmptyInput("machine cores"));
         };
-        asg.try_assign(core, p)?;
         choice.push(core);
-        debug_assert_eq!(choice.len(), k + 1);
     }
     Ok(choice)
 }
 
 /// Seeded local search: greedy start plus seeded random restarts, each
-/// refined by steepest-descent move/swap neighborhoods. Each round
-/// batch-prestages all neighbors (`solve_batch`, plus warm starts from
-/// eqcache neighbors when the model enables them) and then scores them
-/// in a fixed order.
-fn local_search<M: CorePowerModel + Sync>(
-    model: &CombinedModel<'_, M>,
-    inst: &Instance<'_>,
-    objective: Objective,
+/// refined by steepest-descent move/swap neighborhoods. The table fills
+/// lazily: each round stages its neighbors, solves only the sets they
+/// add (one batch), and scores them in a fixed order.
+fn local_search<M: CorePowerModel>(
+    search: &mut Search<'_, M>,
     opts: &OptimizeOptions,
-    cancel: &CancelToken,
 ) -> Result<SearchOutcome, ModelError> {
     const MAX_ROUNDS: usize = 64;
-    let n = inst.procs.len();
+    let n = search.inst.procs.len();
+    let cores = search.inst.num_cores;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(opts.seed);
     let mut best: Option<(Score, Vec<usize>)> = None;
     let mut best_power: Option<(f64, Vec<usize>)> = None;
@@ -793,12 +892,13 @@ fn local_search<M: CorePowerModel + Sync>(
 
     for restart in 0..=opts.restarts {
         let mut choice = if restart == 0 {
-            greedy_construct(model, inst, objective, cancel)?
+            greedy_construct(search)?
         } else {
-            (0..n).map(|_| rng.gen_range(0..inst.num_cores)).collect()
+            (0..n).map(|_| rng.gen_range(0..cores)).collect()
         };
-        let asg = inst.to_assignment(&choice);
-        let start = score_assignment(model, inst.profiles, &asg, objective, cancel)?;
+        search.stage(&choice)?;
+        search.fill()?;
+        let start = search.score(&choice)?;
         evaluated += 1;
         let mut current = start.score;
         track_best(&mut best, &mut best_power, &start, &choice);
@@ -808,7 +908,7 @@ fn local_search<M: CorePowerModel + Sync>(
             // swap, in a fixed order.
             let mut neighbors: Vec<Vec<usize>> = Vec::new();
             for k in 0..n {
-                for core in 0..inst.num_cores {
+                for core in 0..cores {
                     if core == choice[k] {
                         continue;
                     }
@@ -830,14 +930,15 @@ fn local_search<M: CorePowerModel + Sync>(
             if neighbors.is_empty() {
                 break;
             }
-            let assignments: Vec<Assignment> =
-                neighbors.iter().map(|c| inst.to_assignment(c)).collect();
-            model.prestage_assignments(inst.profiles, &assignments, opts.workers, cancel)?;
+            for next in &neighbors {
+                search.stage(next)?;
+            }
+            search.fill()?;
             let mut round_best: Option<(Score, usize)> = None;
-            for (i, asg) in assignments.iter().enumerate() {
-                let metrics = score_assignment(model, inst.profiles, asg, objective, cancel)?;
+            for (i, next) in neighbors.iter().enumerate() {
+                let metrics = search.score(next)?;
                 evaluated += 1;
-                track_best(&mut best, &mut best_power, &metrics, &neighbors[i]);
+                track_best(&mut best, &mut best_power, &metrics, next);
                 let better = match &round_best {
                     None => metrics.score.better_than(&current),
                     Some((s, _)) => metrics.score.better_than(s),

@@ -168,7 +168,7 @@ impl PerformanceModel {
     }
 
     /// Batch solve returning one `Result` per set, so callers that can
-    /// tolerate individual failures (the estimate prestage) keep going.
+    /// tolerate individual failures (a co-run table fill) keep going.
     pub(crate) fn solve_batch_results(
         &self,
         sets: &[equilibrium::CorunSet<'_>],
