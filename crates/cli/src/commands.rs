@@ -75,7 +75,7 @@ commands:
         [--max-inflight N] [--max-queued N] [--queue-wait-ms MS]
         [--default-deadline-ms MS] [--breaker-window N]
         [--breaker-threshold N] [--breaker-cooldown N]
-        [--singleflight-wait-ms MS] [--warm-start]
+        [--singleflight-wait-ms MS]
                                         long-running prediction daemon:
                                         newline-delimited JSON requests
                                         (register/estimate/assign/stats)
@@ -756,7 +756,6 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         breaker_cooldown: args.opt_parse("breaker-cooldown", defaults.breaker_cooldown)?,
         singleflight_wait_ms: args
             .opt_parse("singleflight-wait-ms", defaults.singleflight_wait_ms)?,
-        warm_start: args.flag("warm-start") || defaults.warm_start,
     };
     if opts.max_connections == 0 || opts.max_inflight == 0 {
         return Err(CliError::usage(
@@ -838,7 +837,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     };
     let args = ParsedArgs::parse(
         rest.iter().cloned(),
-        &["fast", "full", "strict", "tiny", "stdio", "warm-start", "optimize", "brute", "json"],
+        &["fast", "full", "strict", "tiny", "stdio", "optimize", "brute", "json"],
     )?;
     match cmd.as_str() {
         "machines" => Ok(machines()),

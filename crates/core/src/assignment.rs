@@ -218,7 +218,6 @@ pub struct CombinedModel<'a, M: CorePowerModel> {
     power: &'a M,
     perf: PerformanceModel,
     eq_cache: EquilibriumCache,
-    warm_start: bool,
 }
 
 impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
@@ -230,25 +229,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             power,
             perf: PerformanceModel::new(machine.l2_assoc()),
             eq_cache: EquilibriumCache::new(crate::eqcache::DEFAULT_CAPACITY),
-            warm_start: false,
         }
-    }
-
-    /// Enables warm-started Newton on equilibrium cache misses: when a
-    /// same-cardinality neighbor co-run is cached, its split seeds a
-    /// damped Newton solve instead of the cold solver, falling back to
-    /// the configured cold solver if the warm solve does not converge
-    /// (counted in [`EqCacheStats::warm_fallbacks`]).
-    ///
-    /// Off by default because it is a *different deterministic policy*,
-    /// not a bit-identical speedup: a warm-started solve converges to the
-    /// same fixed point as the cold Newton solve but along a different
-    /// iterate path, so last-bit results can differ from the cold-solver
-    /// baseline and depend on which co-runs were estimated previously.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
-        self
     }
 
     /// Replaces the equilibrium memo cache with one bounded at
@@ -575,12 +556,10 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     }
 
     /// Resolves the equilibria of co-run sets for a co-run table fill:
-    /// one memo-cache lookup per set; the misses are solved — together
-    /// in one batch over `workers` threads, or with warm start one by one
-    /// in set order, since warm seeds depend on what was memoized just
-    /// before — and memoized. Each set's features and key must be in
-    /// canonical (fingerprint) order, so that cached and fresh results
-    /// line up position by position.
+    /// one memo-cache lookup per set; the misses are solved together in
+    /// one batch over `workers` threads and memoized. Each set's features
+    /// and key must be in canonical (fingerprint) order, so that cached
+    /// and fresh results line up position by position.
     ///
     /// # Errors
     ///
@@ -595,31 +574,18 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     ) -> Result<Vec<Result<Equilibrium, ModelError>>, ModelError> {
         let cached: Vec<Option<Equilibrium>> = keys.iter().map(|k| self.eq_cache.get(k)).collect();
         let missing: Vec<usize> = (0..sets.len()).filter(|&i| cached[i].is_none()).collect();
-        let solved: Vec<Result<Equilibrium, ModelError>> = if self.warm_start {
-            let mut out = Vec::with_capacity(missing.len());
-            for &i in &missing {
-                let eq = match self.solve_warm(&sets[i].features, &keys[i], cancel) {
-                    Some(warm) => warm,
-                    None => self.perf.solve_cancellable(&sets[i].features, cancel),
-                };
-                out.push(self.memoize(&keys[i], eq)?);
-            }
-            out
-        } else {
-            let batch: Vec<equilibrium::CorunSet<'_>> = missing
-                .iter()
-                .map(|&i| equilibrium::CorunSet { features: sets[i].features.clone() })
-                .collect();
-            // Resolving an auto worker count reads the host's CPU quota;
-            // fewer than two sets run inline anyway.
-            let workers = if batch.len() < 2 { 1 } else { workers };
-            let results = self.perf.solve_batch_results(&batch, workers, cancel);
-            let mut out = Vec::with_capacity(missing.len());
-            for (&i, eq) in missing.iter().zip(results) {
-                out.push(self.memoize(&keys[i], eq)?);
-            }
-            out
-        };
+        let batch: Vec<equilibrium::CorunSet<'_>> = missing
+            .iter()
+            .map(|&i| equilibrium::CorunSet { features: sets[i].features.clone() })
+            .collect();
+        // Resolving an auto worker count reads the host's CPU quota;
+        // fewer than two sets run inline anyway.
+        let workers = if batch.len() < 2 { 1 } else { workers };
+        let results = self.perf.solve_batch_results(&batch, workers, cancel);
+        let mut solved = Vec::with_capacity(missing.len());
+        for (&i, eq) in missing.iter().zip(results) {
+            solved.push(self.memoize(&keys[i], eq)?);
+        }
         let mut solved = solved.into_iter();
         let mut out = Vec::with_capacity(sets.len());
         for hit in cached {
@@ -651,73 +617,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
                 Err(ModelError::Math(mathkit::MathError::Cancelled))
             }
             Err(e) => Ok(Err(e)),
-        }
-    }
-
-    /// Warm-started Newton on a cache miss: seeds the solve from the
-    /// nearest cached neighbor's split (see
-    /// [`CombinedModel::with_warm_start`]). `features` and `key` are in
-    /// canonical order. Returns `None` when warm-start is disabled, no
-    /// neighbor exists, or the warm solve did not converge (cold
-    /// fallback — counted as a warm fallback but *not* as a solver
-    /// fallback, since the cold path is expected to succeed normally).
-    fn solve_warm(
-        &self,
-        features: &[&FeatureVector],
-        key: &[u64],
-        cancel: &CancelToken,
-    ) -> Option<Result<Equilibrium, ModelError>> {
-        if !self.warm_start {
-            return None;
-        }
-        let (nkey, near) = self.eq_cache.neighbor(key)?;
-        self.eq_cache.note_warm_attempt();
-
-        // Two-pointer multiset match of the sorted canonical keys: matched
-        // positions inherit the neighbor's canonical split, the (at most
-        // one) unmatched position gets the leftover capacity.
-        let a = self.machine.l2_assoc() as f64;
-        let mut seed = vec![f64::NAN; key.len()];
-        let mut matched_sum = 0.0;
-        let (mut i, mut j) = (0, 0);
-        // lint:allow(cancellation_propagation) -- bounded two-pointer sweep: i or j advances every iteration
-        while i < key.len() && j < nkey.len() {
-            match key[i].cmp(&nkey[j]) {
-                std::cmp::Ordering::Equal => {
-                    seed[i] = near.sizes[j];
-                    matched_sum += near.sizes[j];
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-            }
-        }
-        let leftover = (a - matched_sum).clamp(0.05, a);
-        for s in &mut seed {
-            if s.is_nan() {
-                *s = leftover;
-            }
-        }
-
-        match equilibrium::solve_newton_warm_cancellable(
-            features,
-            self.machine.l2_assoc(),
-            &seed,
-            near.window,
-            cancel,
-        ) {
-            Ok(eq) => {
-                self.eq_cache.note_warm_hit();
-                Some(Ok(eq))
-            }
-            Err(ModelError::Math(mathkit::MathError::Cancelled)) => {
-                Some(Err(ModelError::Math(mathkit::MathError::Cancelled)))
-            }
-            Err(_) => {
-                self.eq_cache.note_warm_fallback();
-                None
-            }
         }
     }
 
@@ -1326,62 +1225,6 @@ mod tests {
         assert_eq!(DegradedSource::ExactCache.name(), "exact_cache");
         assert_eq!(DegradedSource::StaleNeighbor.name(), "stale_neighbor");
         assert_eq!(DegradedSource::ProportionalSplit.name(), "proportional_split");
-    }
-
-    #[test]
-    fn warm_start_converges_to_cold_fixed_point_and_counts() {
-        let m = server();
-        let pm = synthetic_power_model(&m);
-        let cold = CombinedModel::new(&m, &pm);
-        let warm = CombinedModel::new(&m, &pm).with_warm_start(true);
-        let a = synthetic_profile("a", 0.4, 0.03, &m);
-        let b = synthetic_profile("b", 0.1, 0.01, &m);
-        let c = synthetic_profile("c", 0.45, 0.032, &m);
-        let mut asg = Assignment::new(4);
-        asg.assign(0, 0).assign(1, 1);
-        // First estimate on each model is a cold solve (empty cache, no
-        // neighbor) and therefore bit-identical.
-        let x0 = cold.estimate_processor_power(&[a.clone(), b.clone()], &asg).unwrap();
-        let y0 = warm.estimate_processor_power(&[a.clone(), b.clone()], &asg).unwrap();
-        assert_eq!(x0.to_bits(), y0.to_bits(), "no neighbor -> identical cold path");
-        assert_eq!(warm.equilibrium_cache_stats().warm_attempts, 0);
-        // Second pair has a cached same-cardinality neighbor sharing b:
-        // the warm model seeds Newton from it and must land on the same
-        // fixed point the cold model finds (same equations, tight tol).
-        let x1 = cold.estimate_processor_power(&[c.clone(), b.clone()], &asg).unwrap();
-        let y1 = warm.estimate_processor_power(&[c, b], &asg).unwrap();
-        assert!((x1 - y1).abs() <= 1e-6 * x1.abs(), "cold {x1} vs warm {y1}");
-        let st = warm.equilibrium_cache_stats();
-        assert_eq!(st.warm_attempts, 1, "{st:?}");
-        assert_eq!(st.warm_hits + st.warm_fallbacks, st.warm_attempts, "{st:?}");
-        assert_eq!(warm.solver_fallbacks(), 0, "warm fallback is not a solver-health event");
-        assert_eq!(cold.equilibrium_cache_stats().warm_attempts, 0);
-    }
-
-    #[test]
-    fn warm_start_is_deterministic_across_runs() {
-        let m = server();
-        let pm = synthetic_power_model(&m);
-        let a = synthetic_profile("a", 0.4, 0.03, &m);
-        let b = synthetic_profile("b", 0.1, 0.01, &m);
-        let c = synthetic_profile("c", 0.45, 0.032, &m);
-        let ps = vec![a, b, c];
-        let mut asg = Assignment::new(4);
-        asg.assign(0, 0).assign(1, 1);
-        let run = || {
-            let cm = CombinedModel::new(&m, &pm).with_warm_start(true);
-            let mut out = Vec::new();
-            out.push(cm.estimate_processor_power(&ps, &asg).unwrap());
-            out.push(cm.estimate_after_assigning(&ps, &asg, 2, 2).unwrap());
-            out.extend(cm.estimate_candidates(&ps, &asg, 2, &[0, 1, 2, 3], 2).unwrap());
-            let st = cm.equilibrium_cache_stats();
-            (out.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(), st.warm_attempts, st.warm_hits)
-        };
-        let (bits1, att1, hit1) = run();
-        let (bits2, att2, hit2) = run();
-        assert_eq!(bits1, bits2, "warm-start policy must be deterministic");
-        assert_eq!(att1, att2);
-        assert_eq!(hit1, hit2);
     }
 
     #[test]

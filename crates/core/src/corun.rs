@@ -46,9 +46,9 @@ struct Member {
 enum SetState {
     Pending,
     /// `ties_differ` marks members with equal fingerprints that got
-    /// different equilibrium values (a warm-started solve seeds them
-    /// from a neighbor's asymmetric split): their values then depend on
-    /// slot order and are looked up per walk.
+    /// different equilibrium values (the degraded tier's stale-neighbor
+    /// answer re-rates a neighbor's asymmetric split): their values then
+    /// depend on slot order and are looked up per walk.
     Ready {
         ties_differ: bool,
     },

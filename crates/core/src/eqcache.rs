@@ -43,15 +43,6 @@ pub struct EqCacheStats {
     pub entries: usize,
     /// Total configured capacity (0 = caching disabled).
     pub capacity: usize,
-    /// Misses where a same-cardinality neighbor was available to seed a
-    /// warm-started Newton solve.
-    pub warm_attempts: u64,
-    /// Warm-started solves that converged (the seed was used).
-    pub warm_hits: u64,
-    /// Warm-started solves that did not converge and fell back to the
-    /// cold solver. Tracked separately from `fallback_solves`: a warm
-    /// fallback is an optimization miss, not a solver-health event.
-    pub warm_fallbacks: u64,
 }
 
 /// A sharded, capacity-bounded LRU from canonical fingerprint keys to
@@ -63,10 +54,6 @@ pub struct EquilibriumCache {
     /// Fresh solves whose diagnostics recorded a fallback or degraded
     /// result (tracked here because the cache sees every solve).
     fallback_solves: AtomicU64,
-    /// Warm-start accounting (see [`EqCacheStats`]).
-    warm_attempts: AtomicU64,
-    warm_hits: AtomicU64,
-    warm_fallbacks: AtomicU64,
 }
 
 /// Mixes the canonical fingerprint list into a shard index. SplitMix64
@@ -113,9 +100,6 @@ impl EquilibriumCache {
             shards: (0..SHARDS).map(|_| Mutex::new(LruCache::new(per_shard))).collect(),
             capacity: per_shard * SHARDS,
             fallback_solves: AtomicU64::new(0),
-            warm_attempts: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            warm_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -189,22 +173,6 @@ impl EquilibriumCache {
         self.fallback_solves.load(Ordering::Relaxed)
     }
 
-    /// Records a miss where a neighbor seed was available and a
-    /// warm-started solve was attempted.
-    pub fn note_warm_attempt(&self) {
-        self.warm_attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a warm-started solve that converged.
-    pub fn note_warm_hit(&self) {
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a warm-started solve that fell back to the cold solver.
-    pub fn note_warm_fallback(&self) {
-        self.warm_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Entries currently memoized.
     pub fn entries(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len()).sum()
@@ -219,13 +187,7 @@ impl EquilibriumCache {
 
     /// A snapshot of the aggregated counters.
     pub fn stats(&self) -> EqCacheStats {
-        let mut st = EqCacheStats {
-            capacity: self.capacity,
-            warm_attempts: self.warm_attempts.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            warm_fallbacks: self.warm_fallbacks.load(Ordering::Relaxed),
-            ..Default::default()
-        };
+        let mut st = EqCacheStats { capacity: self.capacity, ..Default::default() };
         for s in &self.shards {
             let s = s.lock().unwrap_or_else(|e| e.into_inner());
             st.hits += s.hits();
@@ -349,21 +311,5 @@ mod tests {
         cache.clear();
         assert_eq!(cache.entries(), 0);
         assert_eq!(cache.fallback_solves(), 1);
-    }
-
-    #[test]
-    fn warm_counters_aggregate_into_stats() {
-        let cache = EquilibriumCache::new(8);
-        assert_eq!(cache.stats().warm_attempts, 0);
-        cache.note_warm_attempt();
-        cache.note_warm_attempt();
-        cache.note_warm_hit();
-        cache.note_warm_fallback();
-        let st = cache.stats();
-        assert_eq!(st.warm_attempts, 2);
-        assert_eq!(st.warm_hits, 1);
-        assert_eq!(st.warm_fallbacks, 1);
-        // Warm fallbacks are optimization misses, not solver-health events.
-        assert_eq!(cache.fallback_solves(), 0);
     }
 }

@@ -13,13 +13,20 @@
 //!   finds `S_i(T)` per process (monotone in `T`), the outer solve adjusts
 //!   `T` until the capacity constraint holds. This is the default.
 //! - [`solve_newton`] — Newton–Raphson on the `(S_1..S_k, T)` system, the
-//!   method the paper names. Equivalent at the solution; used by the
-//!   ablation benchmarks and cross-checked against [`solve`] in tests.
+//!   method the paper names, with an analytic arrow-shaped Jacobian that
+//!   makes each step O(k). Equivalent at the solution; if Newton does not
+//!   converge, the bisection bracket of [`solve`] answers and the
+//!   abandoned Newton stage is recorded as a [`FallbackEvent`].
 //! - [`solve_robust`] — a staged fallback chain for untrusted or
-//!   adversarial inputs: damped Newton, then perturbed Newton restarts,
-//!   then a bounded fixed-point/bisection solve, and finally a
+//!   adversarial inputs: the same Newton kernel, then perturbed Newton
+//!   restarts, then a bounded fixed-point/bisection solve, and finally a
 //!   proportional-to-API heuristic split that cannot fail. Every stage
 //!   transition is recorded in [`SolveDiagnostics`].
+//!
+//! There is one Newton kernel: both Newton entry points run it from the
+//! same demand-proportional seed, so on inputs where the chain's first
+//! attempt converges [`solve_robust`] and [`solve_newton`] agree bit for
+//! bit.
 //!
 //! If the combined demand cannot fill the cache (every process saturates
 //! below its share), the capacity constraint is infeasible; the solvers
@@ -28,7 +35,6 @@
 
 use crate::feature::FeatureVector;
 use crate::ModelError;
-use mathkit::newton::{newton_raphson_workspace_cancellable, NewtonOptions, NewtonWorkspace};
 use mathkit::parallel::{par_map, resolve_workers};
 use mathkit::roots::{
     bisect_cancellable, bisect_seeded_cancellable, fixed_point, BisectOptions, FixedPointOptions,
@@ -267,7 +273,6 @@ pub fn solve_cancellable(
     assoc: usize,
     cancel: &CancelToken,
 ) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
     solve_with(features, assoc, Strategy::Bisection, cancel)
 }
 
@@ -284,20 +289,25 @@ struct CoreSolution {
     diagnostics: SolveDiagnostics,
 }
 
-enum Strategy<'o> {
+/// Which solver core a solve runs: one per public entry point, shared by
+/// the standalone and the batched solves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Strategy {
     Bisection,
     Newton,
-    Robust(&'o SolveOptions),
+    Robust(SolveOptions),
 }
 
 /// Shared front-end for all three solver entry points:
 ///
-/// 1. Partition out idle (`API == 0`) processes — they occupy nothing and
+/// 1. Validate the inputs (structure; for the robust chain also every
+///    feature vector's contents).
+/// 2. Partition out idle (`API == 0`) processes — they occupy nothing and
 ///    must not reach an iterative core (their `APS` is identically zero,
 ///    which Newton's normalized residual cannot drive to zero).
-/// 2. Dispatch degenerate inputs (no active process, one active process,
+/// 3. Dispatch degenerate inputs (no active process, one active process,
 ///    unit associativity) to exact closed forms.
-/// 3. Re-order the remaining active processes canonically by content
+/// 4. Re-order the remaining active processes canonically by content
 ///    fingerprint, so float summation order inside the cores — and hence
 ///    every bit of the result — is independent of the caller's process
 ///    order, then scatter the core's answer back to input order.
@@ -320,6 +330,12 @@ fn solve_with_scratch(
     cancel: &CancelToken,
     scratch: &mut NewtonScratch,
 ) -> Result<Equilibrium, ModelError> {
+    validate(features, assoc)?;
+    if let Strategy::Robust(_) = strategy {
+        for f in features {
+            crate::validate::feature_vector(f)?;
+        }
+    }
     let a = assoc as f64;
     let k = features.len();
     let active: Vec<usize> = (0..k).filter(|&i| features[i].api() > 0.0).collect();
@@ -342,8 +358,8 @@ fn solve_with_scratch(
     } else {
         match strategy {
             Strategy::Bisection => bisection_core(&canon, a, cancel)?,
-            Strategy::Newton => newton_core(&canon, a, cancel, scratch)?,
-            Strategy::Robust(opts) => robust_core(&canon, a, opts, cancel)?,
+            Strategy::Newton => newton_core(&canon, a, &SolveOptions::default(), cancel, scratch)?,
+            Strategy::Robust(opts) => robust_core(&canon, a, &opts, cancel, scratch)?,
         }
     };
 
@@ -561,8 +577,8 @@ fn bisection_core(
 /// # Errors
 ///
 /// - [`ModelError::EmptyInput`] / [`ModelError::EquilibriumFailed`] as for
-///   [`solve`], plus Newton non-convergence (rare; seed with [`solve`]'s
-///   output if it matters).
+///   [`solve`]. Newton non-convergence is not an error: the bisection
+///   bracket answers instead (see the module docs).
 pub fn solve_newton(features: &[&FeatureVector], assoc: usize) -> Result<Equilibrium, ModelError> {
     solve_newton_cancellable(features, assoc, &CancelToken::never())
 }
@@ -581,67 +597,7 @@ pub fn solve_newton_cancellable(
     assoc: usize,
     cancel: &CancelToken,
 ) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
     solve_with(features, assoc, Strategy::Newton, cancel)
-}
-
-/// [`solve_newton_cancellable`] seeded from a previously solved neighbor
-/// equilibrium instead of the cold demand-proportional guess.
-///
-/// `warm_sizes` / `warm_window` are a candidate starting point in the
-/// *caller's* process order (the front-end permutes them canonically along
-/// with the features). This entry is strict: if the warm-seeded Newton does
-/// not converge it returns an error rather than silently re-solving cold,
-/// so callers (the eqcache warm-start path) can count fallbacks and run
-/// the cold solver of their choice. Degenerate inputs (≤1 active process,
-/// unit associativity) ignore the seed and take the usual closed forms.
-///
-/// # Errors
-///
-/// Everything [`solve_newton`] returns, plus non-convergence from the
-/// warm seed and a seed-shape mismatch.
-pub fn solve_newton_warm_cancellable(
-    features: &[&FeatureVector],
-    assoc: usize,
-    warm_sizes: &[f64],
-    warm_window: f64,
-    cancel: &CancelToken,
-) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
-    if warm_sizes.len() != features.len() {
-        return Err(ModelError::EquilibriumFailed(format!(
-            "warm-start seed has {} sizes for {} processes",
-            warm_sizes.len(),
-            features.len()
-        )));
-    }
-    let a = assoc as f64;
-    let k = features.len();
-    let active: Vec<usize> = (0..k).filter(|&i| features[i].api() > 0.0).collect();
-    if active.len() <= 1 || assoc == 1 {
-        // Closed forms: the seed adds nothing and the result is already
-        // bit-identical to the cold path.
-        return solve_newton_cancellable(features, assoc, cancel);
-    }
-    let mut order = active;
-    order.sort_by_key(|&i| (features[i].content_fingerprint(), i));
-    let canon: Vec<&FeatureVector> = order.iter().map(|&i| features[i]).collect();
-    let seed: Vec<f64> = order.iter().map(|&i| warm_sizes[i]).collect();
-    let sat_sum: f64 = canon.iter().map(|f| f.occupancy().saturation().min(a)).sum();
-    if sat_sum < a - 1e-2 {
-        // Infeasible capacity constraint: no root for a warm seed to reach.
-        return Err(ModelError::EquilibriumFailed(
-            "warm-start: saturated demand below capacity".into(),
-        ));
-    }
-    let mut scratch = NewtonScratch::default();
-    let core = fast_newton_core(&canon, a, Some((&seed, warm_window)), cancel, &mut scratch)
-        .map_err(|e| outer_bisection_error("warm-start newton", e))?;
-    let mut sizes = vec![0.0; k];
-    for (ci, &i) in order.iter().enumerate() {
-        sizes[i] = core.sizes[ci];
-    }
-    Ok(Equilibrium::from_sizes(features, sizes, core.window, core.filled, core.diagnostics))
 }
 
 /// One co-scheduled set in a batched solve: borrowed feature vectors in
@@ -650,15 +606,6 @@ pub fn solve_newton_warm_cancellable(
 pub struct CorunSet<'a> {
     /// The co-runners sharing one cache.
     pub features: Vec<&'a FeatureVector>,
-}
-
-/// Which solver a batched solve runs per set (mirror of the public
-/// per-solve entry points, minus the lifetime coupling of `Strategy`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BatchStrategy {
-    Bisection,
-    Newton,
-    Robust(SolveOptions),
 }
 
 /// Solves many co-run sets with the Newton solver, amortizing scratch
@@ -694,7 +641,7 @@ pub fn solve_batch_cancellable(
     cancel: &CancelToken,
 ) -> Result<Vec<Equilibrium>, ModelError> {
     let mut out = Vec::with_capacity(sets.len());
-    for res in solve_batch_results(sets, assoc, BatchStrategy::Newton, workers, cancel) {
+    for res in solve_batch_results(sets, assoc, Strategy::Newton, workers, cancel) {
         out.push(res?);
     }
     Ok(out)
@@ -712,7 +659,7 @@ pub fn solve_batch_cancellable(
 pub(crate) fn solve_batch_results(
     sets: &[CorunSet<'_>],
     assoc: usize,
-    strategy: BatchStrategy,
+    strategy: Strategy,
     workers: usize,
     cancel: &CancelToken,
 ) -> Vec<Result<Equilibrium, ModelError>> {
@@ -745,7 +692,13 @@ pub(crate) fn solve_batch_results(
             for &set_idx in &uniques[lo.min(n)..hi] {
                 out.push((
                     set_idx,
-                    solve_batch_one(&sets[set_idx], assoc, strategy, cancel, &mut scratch),
+                    solve_with_scratch(
+                        &sets[set_idx].features,
+                        assoc,
+                        strategy,
+                        cancel,
+                        &mut scratch,
+                    ),
                 ));
             }
             out
@@ -767,99 +720,50 @@ pub(crate) fn solve_batch_results(
         let rep = rep_of[i];
         let res = match solved.get(&rep) {
             Some(Ok(eq)) => Ok(eq.clone()),
-            _ => solve_batch_one(set, assoc, strategy, cancel, &mut scratch),
+            _ => solve_with_scratch(&set.features, assoc, strategy, cancel, &mut scratch),
         };
         out.push(res);
     }
     out
 }
 
-/// One set of a batch: the same validation + solve chain as the matching
-/// standalone entry point, with caller-owned scratch.
-fn solve_batch_one(
-    set: &CorunSet<'_>,
-    assoc: usize,
-    strategy: BatchStrategy,
-    cancel: &CancelToken,
-    scratch: &mut NewtonScratch,
-) -> Result<Equilibrium, ModelError> {
-    let features = &set.features;
-    validate(features, assoc)?;
-    match strategy {
-        BatchStrategy::Bisection => {
-            solve_with_scratch(features, assoc, Strategy::Bisection, cancel, scratch)
-        }
-        BatchStrategy::Newton => {
-            solve_with_scratch(features, assoc, Strategy::Newton, cancel, scratch)
-        }
-        BatchStrategy::Robust(opts) => {
-            for f in features.iter() {
-                crate::validate::feature_vector(f)?;
-            }
-            solve_with_scratch(features, assoc, Strategy::Robust(&opts), cancel, scratch)
-        }
-    }
-}
-
 /// The damped-Newton core over canonically ordered active features.
 ///
 /// Dispatch: a cheap O(k) saturation precheck sends infeasible inputs to
-/// [`bisection_core`] (which produces the canonical saturated answer, same
-/// as the legacy path that seeded Newton from a full bisection solve);
-/// feasible inputs go to the analytic-Jacobian fast path, and any fast-path
-/// failure falls back to the legacy bisection-seeded finite-difference
-/// Newton so the result is always well-defined.
+/// [`bisection_core`] (which produces the canonical saturated answer);
+/// feasible inputs run [`fast_newton_core`] from the demand-proportional
+/// seed within `opts`' tolerance and iteration budget. If Newton fails,
+/// the bisection bracket answers instead, and the abandoned Newton stage
+/// is recorded as a [`FallbackEvent`].
 fn newton_core(
     features: &[&FeatureVector],
     a: f64,
+    opts: &SolveOptions,
     cancel: &CancelToken,
     scratch: &mut NewtonScratch,
 ) -> Result<CoreSolution, ModelError> {
     // If total saturated demand cannot fill the cache there is no root for
-    // Newton to find; the bisection core's saturated branch is the answer
-    // (bit-identical to what the legacy seed-then-return path produced).
+    // Newton to find; the bisection core's saturated branch is the answer.
     let sat_sum: f64 = features.iter().map(|f| f.occupancy().saturation().min(a)).sum();
     if sat_sum < a - 1e-2 {
         return bisection_core(features, a, cancel);
     }
-    match fast_newton_core(features, a, None, cancel, scratch) {
+    let budget = (opts.tol, opts.max_newton_iter);
+    let newton = newton_seed(features, a, 0)
+        .and_then(|(sizes, t)| fast_newton_core(features, a, (&sizes, t), budget, cancel, scratch));
+    match newton {
         Ok(core) => Ok(core),
         Err(mathkit::MathError::Cancelled) => Err(ModelError::Math(mathkit::MathError::Cancelled)),
-        // Near-infeasible or pathological curvature: the legacy path is
-        // slower but seeds from a guaranteed bisection solve.
-        Err(_) => newton_core_legacy(features, a, cancel),
+        // Near-infeasible or pathological curvature: the guaranteed
+        // bisection bracket answers.
+        Err(e) => {
+            let mut core = bisection_core(features, a, cancel)?;
+            core.diagnostics
+                .fallbacks
+                .push(FallbackEvent { stage: SolveMethod::DampedNewton, reason: e.to_string() });
+            Ok(core)
+        }
     }
-}
-
-/// The pre-optimization Newton core: seed from a full nested-bisection
-/// solve, then polish with finite-difference Newton. Kept as the fallback
-/// for inputs the analytic fast path rejects.
-fn newton_core_legacy(
-    features: &[&FeatureVector],
-    a: f64,
-    cancel: &CancelToken,
-) -> Result<CoreSolution, ModelError> {
-    let k = features.len();
-
-    // Initial guess: proportional to demand at a common mid-range window.
-    let bisection_seed = bisection_core(features, a, cancel)?;
-    if !bisection_seed.filled {
-        // Infeasible constraint: Newton has no root to find; return the
-        // saturated solution directly (same as the paper would observe —
-        // the cache simply is not full).
-        return Ok(bisection_seed);
-    }
-    let mut x0: Vec<f64> = bisection_seed.sizes.iter().map(|&s| s * 0.9 + 0.1).collect();
-    x0.push(bisection_seed.window * 1.1);
-
-    let opts = NewtonOptions { tol: 1e-7, max_iter: 200, fd_step: 1e-6, max_backtrack: 40 };
-    let sol = newton_system(features, a, &x0, opts, cancel)
-        .map_err(|e| outer_bisection_error("newton", e))?;
-
-    let sizes = sol.x[..k].to_vec();
-    let window = sol.x[k];
-    let diag = SolveDiagnostics::direct(SolveMethod::DampedNewton, sol.iterations, sol.residual);
-    Ok(CoreSolution { sizes, window, filled: true, diagnostics: diag })
 }
 
 /// Reusable buffers for [`fast_newton_core`]: one allocation set per batch
@@ -878,13 +782,10 @@ pub(crate) struct NewtonScratch {
     cand_wcol: Vec<f64>,
 }
 
-/// Residual tolerance of the fast Newton path — same as the legacy
-/// finite-difference path so both converge to the same fixed points.
-const FAST_TOL: f64 = 1e-7;
-const FAST_MAX_ITER: usize = 200;
+/// Step halvings the line search tries before declaring Newton stuck.
 const FAST_MAX_BACKTRACK: usize = 40;
 /// A finite stand-in for "infinitely wrong": steers the line search away
-/// without non-finite contagion (same constant as [`newton_system`]).
+/// without non-finite contagion.
 const FAST_PENALTY: f64 = 1e6;
 
 /// Evaluates the normalized residual system *and* its analytic arrow-shaped
@@ -929,15 +830,54 @@ fn fast_eval(
     norm.max(rc.abs())
 }
 
+/// The Newton seed for restart `attempt`: demand-proportional sizes at
+/// the geometric mean of each process's implied window
+/// `G⁻¹(S_i) / APS(S_i)`. Attempt 0 is the plain seed; later attempts
+/// jitter the size split (alternating signs, growing with `attempt`) and
+/// scale the window, so a restart explores a different basin instead of
+/// retracing a failed path.
+fn newton_seed(
+    features: &[&FeatureVector],
+    a: f64,
+    attempt: usize,
+) -> Result<(Vec<f64>, f64), mathkit::MathError> {
+    const WINDOW_FACTORS: [f64; 5] = [1.0, 0.25, 4.0, 0.05, 20.0];
+    let api_total: f64 = features.iter().map(|f| f.api()).sum();
+    if api_total.is_nan() || api_total <= 0.0 {
+        return Err(mathkit::MathError::NonFinite("zero total API".into()));
+    }
+    let sizes: Vec<f64> = features
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let sign = if (i + attempt).is_multiple_of(2) { 1.0 } else { -1.0 };
+            let jitter = 1.0 + 0.3 * attempt as f64 * sign;
+            (a * f.api() / api_total * jitter).clamp(0.05, a)
+        })
+        .collect();
+    let mut log_t = 0.0;
+    for (f, &s) in features.iter().zip(&sizes) {
+        let ginv = f.occupancy().g_inverse_with_slope(s).0.max(1e-12);
+        let aps = f.aps_with_slope(s).0.max(1e-12);
+        log_t += (ginv / aps).ln();
+    }
+    let t0 = (log_t / features.len() as f64).exp() * WINDOW_FACTORS[attempt % WINDOW_FACTORS.len()];
+    if !t0.is_finite() {
+        return Err(mathkit::MathError::NonFinite("newton window seed".into()));
+    }
+    Ok((sizes, t0.clamp(1e-15, 1e12)))
+}
+
 /// Damped Newton on the `(S_1..S_k, T)` system with the analytic arrow
-/// Jacobian from [`fast_eval`]. Seeded either warm (a neighbor solution)
-/// or cold (demand-proportional sizes, geometric-mean window — the same
-/// shape as `solve_robust`'s first attempt). Errors are typed so the
-/// caller can fall back; `Cancelled` always propagates.
+/// Jacobian from [`fast_eval`], started from a seed `(sizes, window)` and
+/// run until the residual norm reaches `tol` or `max_iter` iterations
+/// pass. Errors are typed so the caller can fall back; `Cancelled` always
+/// propagates.
 fn fast_newton_core(
     features: &[&FeatureVector],
     a: f64,
-    warm: Option<(&[f64], f64)>,
+    (seed_sizes, mut t): (&[f64], f64),
+    (tol, max_iter): (f64, usize),
     cancel: &CancelToken,
     scratch: &mut NewtonScratch,
 ) -> Result<CoreSolution, mathkit::MathError> {
@@ -945,38 +885,7 @@ fn fast_newton_core(
     let NewtonScratch { sizes, res, diag, wcol, step, cand, cand_res, cand_diag, cand_wcol } =
         scratch;
     sizes.clear();
-    let mut t = match warm {
-        Some((warm_sizes, warm_window)) => {
-            if warm_sizes.iter().any(|s| !s.is_finite())
-                || !warm_window.is_finite()
-                || warm_window <= 0.0
-            {
-                return Err(mathkit::MathError::NonFinite("warm-start seed".into()));
-            }
-            sizes.extend(warm_sizes.iter().map(|s| s.clamp(0.02, a)));
-            warm_window.clamp(1e-15, 1e12)
-        }
-        None => {
-            // Demand-proportional sizes at a geometric-mean window: the
-            // same cold seed shape as solve_robust's first attempt.
-            let api_total: f64 = features.iter().map(|f| f.api()).sum();
-            if api_total.is_nan() || api_total <= 0.0 {
-                return Err(mathkit::MathError::NonFinite("zero total API".into()));
-            }
-            sizes.extend(features.iter().map(|f| (a * f.api() / api_total).clamp(0.05, a)));
-            let mut log_t = 0.0;
-            for (i, f) in features.iter().enumerate() {
-                let ginv = f.occupancy().g_inverse_with_slope(sizes[i]).0.max(1e-12);
-                let aps = f.aps_with_slope(sizes[i]).0.max(1e-12);
-                log_t += (ginv / aps).ln();
-            }
-            let t0 = (log_t / k as f64).exp();
-            if !t0.is_finite() {
-                return Err(mathkit::MathError::NonFinite("cold window seed".into()));
-            }
-            t0.clamp(1e-15, 1e12)
-        }
-    };
+    sizes.extend_from_slice(seed_sizes);
     res.clear();
     res.resize(k + 1, 0.0);
     diag.clear();
@@ -995,9 +904,9 @@ fn fast_newton_core(
     cand_wcol.resize(k, 0.0);
 
     let mut norm = fast_eval(features, a, sizes, t, res, diag, wcol);
-    for iter in 0..FAST_MAX_ITER {
+    for iter in 0..max_iter {
         cancel.check()?;
-        if norm <= FAST_TOL {
+        if norm <= tol {
             return Ok(CoreSolution {
                 sizes: sizes.clone(),
                 window: t,
@@ -1030,8 +939,8 @@ fn fast_newton_core(
             step[i] = (-res[i] - wcol[i] * dt) / diag[i];
         }
 
-        // Backtracking line search on the residual norm (same clamps as
-        // the legacy newton_system: sizes in [0.02, A], window >= 1e-15).
+        // Backtracking line search on the residual norm (sizes clamped to
+        // [0.02, A], window >= 1e-15).
         let mut tau = 1.0f64;
         let mut accepted = false;
         for _ in 0..=FAST_MAX_BACKTRACK {
@@ -1056,9 +965,9 @@ fn fast_newton_core(
         }
         if !accepted {
             // Stuck: no descent even with tiny steps. Accept the best point
-            // if it is reasonably converged (same policy as mathkit's
-            // finite-difference Newton), otherwise report non-convergence.
-            if norm <= FAST_TOL * 100.0 {
+            // if it is reasonably converged, otherwise report
+            // non-convergence.
+            if norm <= tol * 100.0 {
                 return Ok(CoreSolution {
                     sizes: sizes.clone(),
                     window: t,
@@ -1074,79 +983,16 @@ fn fast_newton_core(
         }
     }
 
-    if norm <= FAST_TOL {
+    if norm <= tol {
         Ok(CoreSolution {
             sizes: sizes.clone(),
             window: t,
             filled: true,
-            diagnostics: SolveDiagnostics::direct(SolveMethod::DampedNewton, FAST_MAX_ITER, norm),
+            diagnostics: SolveDiagnostics::direct(SolveMethod::DampedNewton, max_iter, norm),
         })
     } else {
-        Err(mathkit::MathError::NoConvergence { iterations: FAST_MAX_ITER, residual: norm })
+        Err(mathkit::MathError::NoConvergence { iterations: max_iter, residual: norm })
     }
-}
-
-/// Runs damped Newton on the `(S_1..S_k, T)` system from `x0` — shared by
-/// [`solve_newton`] and the first stages of [`solve_robust`].
-///
-/// The residual is guarded against NaN/Inf poisoning: any non-finite
-/// intermediate (a corrupted MPA sample, a zero SPI, a wild `G⁻¹`) is
-/// mapped to a large finite penalty so the line search backs away from it
-/// instead of propagating the NaN through the Jacobian.
-fn newton_system(
-    features: &[&FeatureVector],
-    a: f64,
-    x0: &[f64],
-    opts: NewtonOptions,
-    cancel: &CancelToken,
-) -> Result<mathkit::newton::NewtonSolution, mathkit::MathError> {
-    newton_system_workspace(features, a, x0, opts, cancel, &mut NewtonWorkspace::default())
-}
-
-/// [`newton_system`] with caller-owned Jacobian scratch (reused across
-/// `solve_robust`'s retry attempts).
-fn newton_system_workspace(
-    features: &[&FeatureVector],
-    a: f64,
-    x0: &[f64],
-    opts: NewtonOptions,
-    cancel: &CancelToken,
-    ws: &mut NewtonWorkspace,
-) -> Result<mathkit::newton::NewtonSolution, mathkit::MathError> {
-    let k = features.len();
-    let lo = 0.02;
-    let clamp = move |v: &[f64]| -> Vec<f64> {
-        let mut out = Vec::with_capacity(v.len());
-        for (i, &x) in v.iter().enumerate() {
-            if i < k {
-                out.push(x.clamp(lo, a));
-            } else {
-                out.push(x.max(1e-15));
-            }
-        }
-        out
-    };
-
-    // A finite stand-in for "infinitely wrong": steers the line search
-    // away without the non-finite contagion that would sink the Jacobian.
-    const PENALTY: f64 = 1e6;
-    let feats: Vec<&FeatureVector> = features.to_vec();
-    let residual = move |v: &[f64]| -> Vec<f64> {
-        let t = v[k];
-        let mut r = Vec::with_capacity(k + 1);
-        for (i, f) in feats.iter().enumerate() {
-            let s = v[i];
-            let ginv = f.occupancy().g_inverse(s).max(1e-12);
-            let ri = 1.0 - f.aps_at(s) * t / ginv;
-            r.push(if ri.is_finite() { ri } else { PENALTY });
-        }
-        let sum: f64 = v[..k].iter().sum();
-        let rc = (sum - a) / a;
-        r.push(if rc.is_finite() { rc } else { PENALTY });
-        r
-    };
-
-    newton_raphson_workspace_cancellable(residual, x0, clamp, opts, cancel, ws)
 }
 
 /// Solves the equilibrium through a staged fallback chain that cannot
@@ -1203,11 +1049,7 @@ pub fn solve_robust_cancellable(
     opts: &SolveOptions,
     cancel: &CancelToken,
 ) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
-    for f in features {
-        crate::validate::feature_vector(f)?;
-    }
-    solve_with(features, assoc, Strategy::Robust(opts), cancel)
+    solve_with(features, assoc, Strategy::Robust(*opts), cancel)
 }
 
 /// The proportional-to-API closed-form split — [`solve_robust`]'s stage-4
@@ -1262,10 +1104,11 @@ fn robust_core(
     a: f64,
     opts: &SolveOptions,
     cancel: &CancelToken,
+    scratch: &mut NewtonScratch,
 ) -> Result<CoreSolution, ModelError> {
     let k = features.len();
     #[allow(clippy::disallowed_methods)]
-    // lint:allow(determinism) -- diagnostics-only: wall time feeds SolveDiagnostics.elapsed, never the solution itself
+    // lint:allow(determinism) -- the clock only decides, under time_budget_s, whether later stages are skipped
     let start = Instant::now();
     let mut fallbacks: Vec<FallbackEvent> = Vec::new();
     cancel.check()?;
@@ -1285,19 +1128,8 @@ fn robust_core(
         });
     }
 
-    // Stages 1 + 2: damped Newton from a demand-proportional seed, then
-    // deterministic perturbed restarts. The perturbations shift both the
-    // size split and the window guess so a restart explores a genuinely
-    // different basin instead of retracing the failed path.
-    let api_total: f64 = features.iter().map(|f| f.api()).sum();
-    let newton_opts = NewtonOptions {
-        tol: opts.tol,
-        max_iter: opts.max_newton_iter,
-        fd_step: 1e-6,
-        max_backtrack: 40,
-    };
-    let window_factors = [1.0, 0.25, 4.0, 0.05, 20.0];
-    let mut nws = NewtonWorkspace::default();
+    // Stages 1 + 2: damped Newton from the demand-proportional seed, then
+    // deterministic perturbed restarts (see `newton_seed`).
     for attempt in 0..=opts.newton_retries {
         let stage =
             if attempt == 0 { SolveMethod::DampedNewton } else { SolveMethod::ReseededNewton };
@@ -1306,45 +1138,24 @@ fn robust_core(
             fallbacks.push(FallbackEvent { stage, reason: "time budget exhausted".into() });
             break;
         }
-        let mut x0 = Vec::with_capacity(k + 1);
-        for (i, f) in features.iter().enumerate() {
-            let base = a * f.api() / api_total;
-            let sign = if (i + attempt) % 2 == 0 { 1.0 } else { -1.0 };
-            let jitter = 1.0 + 0.3 * attempt as f64 * sign;
-            x0.push((base * jitter).clamp(0.05, a));
-        }
-        // Window seed: geometric mean of each process's implied window
-        // G⁻¹(S_i) / APS(S_i) at the seed sizes.
-        let mut log_t = 0.0;
-        for (f, &s) in features.iter().zip(&x0) {
-            let ginv = f.occupancy().g_inverse(s).max(1e-12);
-            let aps = f.aps_at(s).max(1e-12);
-            log_t += (ginv / aps).ln();
-        }
-        let t0 = (log_t / k as f64).exp() * window_factors[attempt % window_factors.len()];
-        x0.push(t0.clamp(1e-15, 1e12));
-
-        match newton_system_workspace(features, a, &x0, newton_opts, cancel, &mut nws) {
+        let budget = (opts.tol, opts.max_newton_iter);
+        let newton = newton_seed(features, a, attempt).and_then(|(sizes, t)| {
+            fast_newton_core(features, a, (&sizes, t), budget, cancel, scratch)
+        });
+        match newton {
             Err(mathkit::MathError::Cancelled) => {
                 return Err(ModelError::Math(mathkit::MathError::Cancelled))
             }
-            Ok(sol) => {
-                let sizes = sol.x[..k].to_vec();
-                let window = sol.x[k];
-                let sum: f64 = sizes.iter().sum();
-                let feasible = sizes.iter().all(|s| s.is_finite() && *s >= 0.0)
-                    && window.is_finite()
-                    && window > 0.0
+            Ok(core) => {
+                let sum: f64 = core.sizes.iter().sum();
+                let feasible = core.sizes.iter().all(|s| s.is_finite() && *s >= 0.0)
+                    && core.window.is_finite()
+                    && core.window > 0.0
                     && (sum - a).abs() <= 0.01 * a;
                 if feasible {
-                    let diag = SolveDiagnostics {
-                        method: stage,
-                        iterations: sol.iterations,
-                        residual: sol.residual,
-                        fallbacks,
-                        degraded: false,
-                    };
-                    return Ok(CoreSolution { sizes, window, filled: true, diagnostics: diag });
+                    let diagnostics =
+                        SolveDiagnostics { method: stage, fallbacks, ..core.diagnostics };
+                    return Ok(CoreSolution { diagnostics, ..core });
                 }
                 fallbacks.push(FallbackEvent {
                     stage,
@@ -1387,6 +1198,7 @@ fn robust_core(
     // every API here is positive, so the split is well defined, finite,
     // and sums to `A` exactly. The window is not meaningful here and
     // reported as 0.
+    let api_total: f64 = features.iter().map(|f| f.api()).sum();
     let sizes: Vec<f64> = features.iter().map(|f| a * f.api() / api_total).collect();
     let diag = SolveDiagnostics {
         method: SolveMethod::ProportionalShare,
@@ -1633,26 +1445,58 @@ mod tests {
 
     #[test]
     fn robust_agrees_with_bisection() {
-        let pairs = [
-            (SpecWorkload::Mcf, SpecWorkload::Gzip),
-            (SpecWorkload::Art, SpecWorkload::Twolf),
-            (SpecWorkload::Vpr, SpecWorkload::Bzip2),
-        ];
-        for (wa, wb) in pairs {
-            let a = fv(wa);
-            let b = fv(wb);
-            let bis = solve(&[&a, &b], 16).unwrap();
-            let rob = solve_robust(&[&a, &b], 16, &SolveOptions::default()).unwrap();
-            assert!(!rob.diagnostics.degraded, "{wa}/{wb}: {:?}", rob.diagnostics);
-            for i in 0..2 {
+        // Every distinct Table 1 pair plus a four-way mix: the chain's first
+        // Newton attempt answers, running the same kernel from the same
+        // seed as `solve_newton`.
+        use SpecWorkload::{Ammp, Art, Equake, Mcf};
+        let suite = SpecWorkload::table1_suite();
+        let mut mixes: Vec<Vec<SpecWorkload>> = Vec::new();
+        for i in 0..suite.len() {
+            for j in i + 1..suite.len() {
+                mixes.push(vec![suite[i], suite[j]]);
+            }
+        }
+        assert_eq!(mixes.len(), 28);
+        mixes.push(vec![Mcf, Art, Equake, Ammp]);
+        for mix in &mixes {
+            let feats: Vec<FeatureVector> = mix.iter().map(|&w| fv(w)).collect();
+            let refs: Vec<&FeatureVector> = feats.iter().collect();
+            let bis = solve(&refs, 16).unwrap();
+            let rob = solve_robust(&refs, 16, &SolveOptions::default()).unwrap();
+            let newt = solve_newton(&refs, 16).unwrap();
+            assert_eq!(rob.diagnostics.method, SolveMethod::DampedNewton, "{mix:?}");
+            assert!(rob.diagnostics.fallbacks.is_empty(), "{mix:?}: {:?}", rob.diagnostics);
+            for i in 0..mix.len() {
                 assert!(
                     (bis.sizes[i] - rob.sizes[i]).abs() < 0.05,
-                    "{wa}/{wb} proc {i}: bisect {} vs robust {}",
+                    "{mix:?} proc {i}: bisect {} vs robust {}",
                     bis.sizes[i],
                     rob.sizes[i]
                 );
+                assert_eq!(rob.sizes[i].to_bits(), newt.sizes[i].to_bits(), "{mix:?} proc {i}");
             }
         }
+    }
+
+    #[test]
+    fn failed_newton_falls_back_to_the_bisection_bracket() {
+        // tol = 0 makes Newton convergence impossible: the bisection
+        // bracket answers bit for bit, and the abandoned stage is recorded.
+        let a = fv(SpecWorkload::Mcf);
+        let b = fv(SpecWorkload::Art);
+        let mut canon = vec![&a, &b];
+        canon.sort_by_key(|f| f.content_fingerprint());
+        let opts = SolveOptions { tol: 0.0, ..Default::default() };
+        let mut scratch = NewtonScratch::default();
+        let core = newton_core(&canon, 16.0, &opts, &CancelToken::never(), &mut scratch).unwrap();
+        let bis = solve(&canon, 16).unwrap();
+        for (x, y) in core.sizes.iter().zip(&bis.sizes) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_eq!(core.window.to_bits(), bis.window.to_bits());
+        assert_eq!(core.diagnostics.method, SolveMethod::NestedBisection);
+        let stages: Vec<SolveMethod> = core.diagnostics.fallbacks.iter().map(|f| f.stage).collect();
+        assert_eq!(stages, vec![SolveMethod::DampedNewton], "{:?}", core.diagnostics);
     }
 
     #[test]

@@ -176,9 +176,9 @@ impl PerformanceModel {
         cancel: &CancelToken,
     ) -> Vec<Result<Equilibrium, ModelError>> {
         let strategy = match self.solver {
-            SolverKind::Bisection => equilibrium::BatchStrategy::Bisection,
-            SolverKind::Newton => equilibrium::BatchStrategy::Newton,
-            SolverKind::Robust => equilibrium::BatchStrategy::Robust(SolveOptions::default()),
+            SolverKind::Bisection => equilibrium::Strategy::Bisection,
+            SolverKind::Newton => equilibrium::Strategy::Newton,
+            SolverKind::Robust => equilibrium::Strategy::Robust(SolveOptions::default()),
         };
         equilibrium::solve_batch_results(sets, self.assoc, strategy, workers, cancel)
     }

@@ -111,10 +111,6 @@ pub struct ServeOptions {
     pub breaker_cooldown: u32,
     /// How long a coalesced follower waits for its leader's solve.
     pub singleflight_wait_ms: u64,
-    /// Warm-start Newton from cached neighbor equilibria on cache misses
-    /// (see [`CombinedModel::with_warm_start`]). A different
-    /// deterministic solve policy, so off by default.
-    pub warm_start: bool,
 }
 
 impl Default for ServeOptions {
@@ -132,7 +128,6 @@ impl Default for ServeOptions {
             breaker_threshold: 8,
             breaker_cooldown: 16,
             singleflight_wait_ms: 2_000,
-            warm_start: false,
         }
     }
 }
@@ -417,7 +412,6 @@ impl PredictionService {
     fn model(&self) -> CombinedModel<'_, PowerModel> {
         CombinedModel::new(&self.machine, &self.power)
             .with_equilibrium_cache_capacity(self.opts.cache_capacity)
-            .with_warm_start(self.opts.warm_start)
     }
 
     fn read_registry(&self) -> RwLockReadGuard<'_, BTreeMap<String, ProcessProfile>> {
@@ -1137,9 +1131,6 @@ impl PredictionService {
             ("evictions".into(), Json::Num(eq.evictions as f64)),
             ("entries".into(), Json::Num(eq.entries as f64)),
             ("capacity".into(), Json::Num(eq.capacity as f64)),
-            ("warm_attempts".into(), Json::Num(eq.warm_attempts as f64)),
-            ("warm_hits".into(), Json::Num(eq.warm_hits as f64)),
-            ("warm_fallbacks".into(), Json::Num(eq.warm_fallbacks as f64)),
         ]);
         let latency = Json::Obj(vec![
             ("count".into(), Json::Num(self.latency.count() as f64)),
@@ -1406,46 +1397,11 @@ mod tests {
         assert_eq!(resp.get("profiles").and_then(Json::as_usize), Some(2));
         let eq = resp.get("eq_cache").unwrap();
         assert!(eq.get("misses").and_then(Json::as_f64).unwrap() >= 1.0);
-        // Warm-start is off by default, so the counters exist but are 0.
-        assert_eq!(eq.get("warm_attempts").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(eq.get("warm_hits").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(eq.get("warm_fallbacks").and_then(Json::as_f64), Some(0.0));
         // The stats request itself is timed after its snapshot is built,
         // so the count covers the four preceding requests.
         let latency = resp.get("latency").unwrap();
         assert!(latency.get("count").and_then(Json::as_f64).unwrap() >= 4.0);
         assert!(latency.get("p50_ns").and_then(Json::as_f64).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn warm_start_service_estimates_and_reports_counters() {
-        let svc = PredictionService::with_options(
-            machine(),
-            power_model(),
-            ServeOptions { workers: 1, warm_start: true, ..ServeOptions::default() },
-        );
-        let model = svc.model();
-        let m = machine();
-        for (name, tail, api) in [("a", 0.4, 0.03), ("b", 0.1, 0.01), ("c", 0.45, 0.032)] {
-            svc.register_profile(name, synthetic_profile(name, tail, api, &m)).unwrap();
-        }
-        let r1 = ask(&svc, &model, r#"{"id":1,"op":"estimate","assignment":[["a"],["b"]]}"#);
-        assert_eq!(r1.get("ok"), Some(&Json::Bool(true)), "{r1:?}");
-        // Second pair shares b: its cache miss goes through the warm path.
-        let r2 = ask(&svc, &model, r#"{"id":2,"op":"estimate","assignment":[["c"],["b"]]}"#);
-        assert_eq!(r2.get("ok"), Some(&Json::Bool(true)), "{r2:?}");
-        let p2 = r2.get("power_w").and_then(Json::as_f64).unwrap();
-        assert!(p2.is_finite() && p2 > 0.0);
-        let stats = ask(&svc, &model, r#"{"id":3,"op":"stats"}"#);
-        let eq = stats.get("eq_cache").unwrap();
-        let attempts = eq.get("warm_attempts").and_then(Json::as_f64).unwrap();
-        let hits = eq.get("warm_hits").and_then(Json::as_f64).unwrap();
-        let fallbacks = eq.get("warm_fallbacks").and_then(Json::as_f64).unwrap();
-        assert!(attempts >= 1.0, "{stats:?}");
-        assert_eq!(hits + fallbacks, attempts);
-        // Warm fallbacks are not solver-health events and must not feed
-        // the breaker's failure accounting.
-        assert_eq!(stats.get("solver_fallbacks").and_then(Json::as_f64), Some(0.0));
     }
 
     #[test]

@@ -277,11 +277,10 @@ fn solve_batch_matches_sequential_for_all_worker_counts() {
 }
 
 #[test]
-fn warm_start_is_deterministic_and_cold_is_bit_stable() {
-    // Warm-started solving is a *policy* change (different Newton seeds),
-    // so it is not required to be bit-identical to the cold path — but it
-    // must be deterministic across runs and worker counts, and leaving it
-    // off must keep estimates bit-identical to a cache-disabled model.
+fn cached_estimates_are_worker_count_invariant_and_match_uncached() {
+    // Repeated candidate sweeps through the memo cache must give the same
+    // bits for every worker count, and the same bits as a cache-disabled
+    // model whose co-run sets are all fresh solves.
     let machine = MachineConfig::four_core_server();
     let power = synthetic_power_model(&machine);
     let profiles: Vec<ProcessProfile> = [
@@ -297,8 +296,8 @@ fn warm_start_is_deterministic_and_cold_is_bit_stable() {
     current.assign(0, 0).assign(1, 1).assign(2, 3);
     let cores: Vec<usize> = (0..machine.num_cores()).collect();
 
-    let sweep = |warm: bool, workers: usize| -> Vec<u64> {
-        let cm = CombinedModel::new(&machine, &power).with_warm_start(warm);
+    let sweep = |workers: usize| -> Vec<u64> {
+        let cm = CombinedModel::new(&machine, &power);
         let mut bits = Vec::new();
         for round in 0..2 {
             let est = cm.estimate_candidates(&profiles, &current, 2, &cores, workers).unwrap();
@@ -308,20 +307,17 @@ fn warm_start_is_deterministic_and_cold_is_bit_stable() {
         bits
     };
 
-    let cold_ref = sweep(false, 1);
-    let warm_ref = sweep(true, 1);
+    let reference = sweep(1);
     for workers in WORKER_COUNTS {
-        assert_eq!(sweep(false, workers), cold_ref, "cold workers={workers}");
-        assert_eq!(sweep(true, workers), warm_ref, "warm workers={workers}");
+        assert_eq!(sweep(workers), reference, "workers={workers}");
     }
-    // Cold-path answers are the contract: identical with the cache (and
-    // its batch prestage) disabled entirely.
+    // Identical with the cache (and its batch prestage) disabled entirely.
     let uncached = CombinedModel::new(&machine, &power).with_equilibrium_cache_capacity(0);
     let plain: Vec<u64> = cores
         .iter()
         .map(|&c| uncached.estimate_after_assigning(&profiles, &current, 2, c).unwrap().to_bits())
         .collect();
-    assert_eq!(&cold_ref[..cores.len()], &plain[..], "prestage must not change cold answers");
+    assert_eq!(&reference[..cores.len()], &plain[..], "prestage must not change answers");
 }
 
 /// The placement optimizer's contract: same answer bits for any worker
