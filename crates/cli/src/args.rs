@@ -83,6 +83,18 @@ impl ParsedArgs {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.contains(name)
     }
+
+    /// Checks that every `--name value` option given is one of `known`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown option.
+    pub fn expect_options(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        match self.options.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(key) => Err(format!("{command}: unknown option --{key}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -116,6 +128,13 @@ mod tests {
     #[test]
     fn stray_double_dash_is_an_error() {
         assert!(ParsedArgs::parse(["--"], &[]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let a = ParsedArgs::parse(["--sets", "8", "--bogus", "1"], &[]).unwrap();
+        assert!(a.expect_options("cmd", &["sets", "bogus"]).is_ok());
+        assert_eq!(a.expect_options("cmd", &["sets"]).unwrap_err(), "cmd: unknown option --bogus");
     }
 
     #[test]

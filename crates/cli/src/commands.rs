@@ -73,13 +73,13 @@ commands:
         [--workers N] [--cache-capacity N]
         [--max-line-bytes N] [--max-connections N]
         [--max-inflight N] [--max-queued N] [--queue-wait-ms MS]
-        [--default-deadline-ms MS] [--breaker-window N]
-        [--breaker-threshold N] [--breaker-cooldown N]
-        [--singleflight-wait-ms MS]
+        [--default-deadline-ms MS]
                                         long-running prediction daemon:
                                         newline-delimited JSON requests
-                                        (register/estimate/assign/stats)
-                                        over TCP, or stdin/stdout with
+                                        (register, unregister, estimate,
+                                        assign, optimize, stats, ping,
+                                        shutdown) over TCP, or
+                                        stdin/stdout with
                                         --stdio; overload limits per
                                         README \"Operational robustness\"
   lint [--format text|json] [--config FILE]
@@ -728,6 +728,23 @@ pub fn validate(args: &ParsedArgs) -> Result<String, CliError> {
 /// Returns a display-ready message on any failure (a missing or bad
 /// `--power` file, an unbindable address, or session I/O trouble).
 pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
+    args.expect_options(
+        "serve",
+        &[
+            "power",
+            "listen",
+            "machine",
+            "sets",
+            "workers",
+            "cache-capacity",
+            "max-line-bytes",
+            "max-connections",
+            "max-inflight",
+            "max-queued",
+            "queue-wait-ms",
+            "default-deadline-ms",
+        ],
+    )?;
     let machine = machine_from(args)?;
     let power_path = args
         .opt("power")
@@ -739,23 +756,16 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     // Resolve the worker count once, up front: the flag beats
     // MPMC_WORKERS, and a concrete value makes `stats` reporting honest.
     let workers = mathkit::parallel::resolve_workers(resolve::workers(args)?);
-    let capacity: usize =
-        args.opt_parse("cache-capacity", mpmc_model::eqcache::DEFAULT_CAPACITY)?;
     let defaults = mpmc_service::ServeOptions::default();
     let opts = mpmc_service::ServeOptions {
         workers,
-        cache_capacity: capacity,
+        cache_capacity: args.opt_parse("cache-capacity", defaults.cache_capacity)?,
         max_line_bytes: args.opt_parse("max-line-bytes", defaults.max_line_bytes)?,
         max_connections: args.opt_parse("max-connections", defaults.max_connections)?,
         max_inflight: args.opt_parse("max-inflight", defaults.max_inflight)?,
         max_queued: args.opt_parse("max-queued", defaults.max_queued)?,
         queue_wait_ms: args.opt_parse("queue-wait-ms", defaults.queue_wait_ms)?,
         default_deadline_ms: args.opt_parse("default-deadline-ms", defaults.default_deadline_ms)?,
-        breaker_window: args.opt_parse("breaker-window", defaults.breaker_window)?,
-        breaker_threshold: args.opt_parse("breaker-threshold", defaults.breaker_threshold)?,
-        breaker_cooldown: args.opt_parse("breaker-cooldown", defaults.breaker_cooldown)?,
-        singleflight_wait_ms: args
-            .opt_parse("singleflight-wait-ms", defaults.singleflight_wait_ms)?,
     };
     if opts.max_connections == 0 || opts.max_inflight == 0 {
         return Err(CliError::usage(
@@ -1068,13 +1078,15 @@ mod tests {
             assert_eq!(err.code, exit_code::USAGE, "--workers {bad_workers}");
         }
         // Overload-limit flags must parse; zero caps that would make the
-        // daemon unreachable are rejected up front.
+        // daemon unreachable, and options serve does not know, are
+        // rejected up front.
         for bad in [
             ["--max-inflight", "none"],
             ["--queue-wait-ms", "-1"],
             ["--max-line-bytes", "big"],
             ["--max-connections", "0"],
             ["--max-inflight", "0"],
+            ["--no-such-limit", "4"],
         ] {
             let err = run(&["serve", "--power", path_s, bad[0], bad[1]]).unwrap_err();
             assert_eq!(err.code, exit_code::USAGE, "{bad:?}");

@@ -13,8 +13,7 @@
 
 use crate::corun::{CorunTable, Pid};
 use crate::eqcache::{EqCacheStats, EquilibriumCache};
-use crate::equilibrium::{self, Equilibrium, SolveDiagnostics};
-use crate::feature::FeatureVector;
+use crate::equilibrium::{self, Equilibrium};
 use crate::perf::PerformanceModel;
 use crate::power::CorePowerModel;
 use crate::profile::ProcessProfile;
@@ -22,7 +21,6 @@ use crate::ModelError;
 use cmpsim::machine::MachineConfig;
 use cmpsim::types::DieId;
 use mathkit::sync::CancelToken;
-use std::cell::Cell;
 
 /// A tentative process-to-core mapping over profile indices.
 ///
@@ -143,56 +141,6 @@ impl Assignment {
     }
 }
 
-/// Where a degraded estimate's equilibria came from, ordered best to
-/// worst. When one estimate mixes tiers across its Eq. 10 combinations,
-/// the *worst* tier used is reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradedSource {
-    /// Every contended combination was answered from a (possibly stale)
-    /// exact cache entry — numerically identical to a fresh solve.
-    ExactCache,
-    /// At least one combination reused a cached *neighbor* co-run's
-    /// cache split (same co-runner count, all but one fingerprint
-    /// shared), re-rated against the requesting co-run's own curves.
-    StaleNeighbor,
-    /// At least one combination fell through to the proportional-to-API
-    /// closed-form split ([`equilibrium::solve_proportional`]).
-    ProportionalSplit,
-}
-
-impl Ord for DegradedSource {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (*self as u8).cmp(&(*other as u8))
-    }
-}
-
-impl PartialOrd for DegradedSource {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl DegradedSource {
-    /// Stable lowercase label for wire protocols and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradedSource::ExactCache => "exact_cache",
-            DegradedSource::StaleNeighbor => "stale_neighbor",
-            DegradedSource::ProportionalSplit => "proportional_split",
-        }
-    }
-}
-
-/// A degraded-tier power estimate: the value plus an honest account of
-/// where its equilibria came from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradedEstimate {
-    /// Estimated average processor power (watts).
-    pub power_w: f64,
-    /// The worst equilibrium source any combination needed.
-    pub source: DegradedSource,
-}
-
 /// The combined model: performance model + power model + profiles.
 ///
 /// Every estimate is scored from a co-run table: the die-level co-run
@@ -311,32 +259,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         let (mut table, queues) = self.staged_table(profiles, assignment, cancel)?;
         table.fill(0, cancel)?;
         table.power(&queues, cancel)
-    }
-
-    /// Degraded-tier estimate: answers **without running the equilibrium
-    /// solvers**, for a serving layer whose circuit breaker has tripped.
-    /// Each contended co-run set is answered from the best available
-    /// no-solve source — a (possibly stale) exact memo-cache entry, else
-    /// the nearest cached neighbor co-run's split re-rated against the
-    /// requesting processes' own curves, else the proportional-to-API
-    /// closed form — and the *worst* tier any set needed is reported
-    /// alongside the estimate. Degraded lookups never promote, insert,
-    /// or count toward cache/fallback statistics.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors as for
-    /// [`CombinedModel::estimate_processor_power`]; the no-solve tiers
-    /// themselves cannot fail on valid inputs.
-    pub fn estimate_processor_power_degraded(
-        &self,
-        profiles: &[ProcessProfile],
-        assignment: &Assignment,
-    ) -> Result<DegradedEstimate, ModelError> {
-        let never = CancelToken::never();
-        let (mut table, queues) = self.staged_table(profiles, assignment, &never)?;
-        let source = table.fill_degraded();
-        Ok(DegradedEstimate { power_w: table.power(&queues, &never)?, source })
     }
 
     /// A table over `assignment`'s processes with every co-run set of
@@ -620,53 +542,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         }
     }
 
-    /// No-solve equilibrium for the degraded tier, for a set whose
-    /// `features` and `key` are in canonical order: exact (possibly
-    /// stale) cache entry, else the nearest cached neighbor's split
-    /// re-rated on the set's own feature curves, else the proportional
-    /// closed form. Never iterates, never touches the fallback counter,
-    /// and never promotes or inserts cache entries — degraded traffic
-    /// must not distort the healthy path's statistics or recency order.
-    pub(crate) fn resolve_degraded(
-        &self,
-        features: &[&FeatureVector],
-        key: &[u64],
-        worst: &Cell<DegradedSource>,
-    ) -> Result<Equilibrium, ModelError> {
-        if let Some(canon) = self.eq_cache.peek(key) {
-            return Ok(canon);
-        }
-        if let Some((_, near)) = self.eq_cache.neighbor(key) {
-            Self::note_worst(worst, DegradedSource::StaleNeighbor);
-            // Borrow the neighbor's cache split positionally (both sides
-            // are in canonical order) and re-rate MPA/SPI/APS against the
-            // requesting processes' own curves.
-            let diag = SolveDiagnostics {
-                method: near.diagnostics.method,
-                iterations: 0,
-                residual: 0.0,
-                fallbacks: Vec::new(),
-                degraded: true,
-            };
-            return Ok(Equilibrium::from_sizes(
-                features,
-                near.sizes.clone(),
-                near.window,
-                near.cache_filled,
-                diag,
-            ));
-        }
-        Self::note_worst(worst, DegradedSource::ProportionalSplit);
-        equilibrium::solve_proportional(features, self.machine.l2_assoc())
-    }
-
-    /// Records `tier` if it is worse than anything seen so far.
-    fn note_worst(worst: &Cell<DegradedSource>, tier: DegradedSource) {
-        if tier > worst.get() {
-            worst.set(tier);
-        }
-    }
-
     fn validate(&self, profiles: &[ProcessProfile], asg: &Assignment) -> Result<(), ModelError> {
         if asg.num_cores() != self.machine.num_cores() {
             return Err(ModelError::InvalidAssignment(format!(
@@ -708,6 +583,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feature::FeatureVector;
     use crate::histogram::ReuseHistogram;
     use crate::power::{PowerModel, PowerObservation};
     use crate::spi::SpiModel;
@@ -1146,85 +1022,6 @@ mod tests {
         );
         let err = cm.estimate_processor_power_cancellable(&ps, &asg, &fired).unwrap_err();
         assert!(matches!(err, ModelError::Math(mathkit::MathError::Cancelled)));
-    }
-
-    #[test]
-    fn degraded_exact_cache_tier_is_bit_exact_with_healthy_estimate() {
-        let m = server();
-        let pm = synthetic_power_model(&m);
-        let cm = CombinedModel::new(&m, &pm);
-        let a = synthetic_profile("a", 0.4, 0.03, &m);
-        let b = synthetic_profile("b", 0.1, 0.01, &m);
-        let ps = vec![a, b];
-        let mut asg = Assignment::new(4);
-        asg.assign(0, 0).assign(1, 1);
-        let healthy = cm.estimate_processor_power(&ps, &asg).unwrap();
-        let stats_before = cm.equilibrium_cache_stats();
-        let deg = cm.estimate_processor_power_degraded(&ps, &asg).unwrap();
-        assert_eq!(deg.source, DegradedSource::ExactCache);
-        assert_eq!(deg.power_w.to_bits(), healthy.to_bits());
-        let stats_after = cm.equilibrium_cache_stats();
-        assert_eq!(stats_before, stats_after, "degraded reads must not touch counters");
-        assert_eq!(cm.solver_fallbacks(), 0, "degraded answers are not solver fallbacks");
-    }
-
-    #[test]
-    fn degraded_neighbor_tier_reuses_nearest_cached_split() {
-        let m = server();
-        let pm = synthetic_power_model(&m);
-        let cm = CombinedModel::new(&m, &pm);
-        let a = synthetic_profile("a", 0.4, 0.03, &m);
-        let b = synthetic_profile("b", 0.1, 0.01, &m);
-        let c = synthetic_profile("c", 0.45, 0.032, &m);
-        let mut asg = Assignment::new(4);
-        asg.assign(0, 0).assign(1, 1);
-        // Warm the cache with the (a, b) pair, then ask degraded for
-        // (c, b): same cardinality, shares b's fingerprint -> neighbor.
-        cm.estimate_processor_power(&[a.clone(), b.clone()], &asg).unwrap();
-        let deg = cm.estimate_processor_power_degraded(&[c.clone(), b.clone()], &asg).unwrap();
-        assert_eq!(deg.source, DegradedSource::StaleNeighbor);
-        assert!(deg.power_w.is_finite() && deg.power_w > 0.0);
-        // The neighbor answer re-rates on c's own curves, so it should be
-        // in the neighborhood of the true (c, b) estimate.
-        let truth = cm.estimate_processor_power(&[c, b], &asg).unwrap();
-        assert!(
-            (deg.power_w - truth).abs() < 0.2 * truth,
-            "neighbor estimate {} too far from truth {truth}",
-            deg.power_w
-        );
-    }
-
-    #[test]
-    fn degraded_cold_cache_falls_back_to_proportional_split() {
-        let m = server();
-        let pm = synthetic_power_model(&m);
-        let cm = CombinedModel::new(&m, &pm);
-        let a = synthetic_profile("a", 0.4, 0.03, &m);
-        let b = synthetic_profile("b", 0.1, 0.01, &m);
-        let ps = vec![a, b];
-        let mut asg = Assignment::new(4);
-        asg.assign(0, 0).assign(1, 1);
-        let deg = cm.estimate_processor_power_degraded(&ps, &asg).unwrap();
-        assert_eq!(deg.source, DegradedSource::ProportionalSplit);
-        assert!(deg.power_w.is_finite() && deg.power_w > 0.0);
-        assert_eq!(cm.cached_equilibria(), 0, "degraded solves must not populate the cache");
-        // Uncontended shapes never need an equilibrium, so even the
-        // proportional tier reports the exact-cache (best) source.
-        let mut solo = Assignment::new(4);
-        solo.assign(0, 0);
-        let deg_solo = cm.estimate_processor_power_degraded(&ps, &solo).unwrap();
-        assert_eq!(deg_solo.source, DegradedSource::ExactCache);
-        let healthy_solo = cm.estimate_processor_power(&ps, &solo).unwrap();
-        assert_eq!(deg_solo.power_w.to_bits(), healthy_solo.to_bits());
-    }
-
-    #[test]
-    fn degraded_source_order_and_names() {
-        assert!(DegradedSource::ExactCache < DegradedSource::StaleNeighbor);
-        assert!(DegradedSource::StaleNeighbor < DegradedSource::ProportionalSplit);
-        assert_eq!(DegradedSource::ExactCache.name(), "exact_cache");
-        assert_eq!(DegradedSource::StaleNeighbor.name(), "stale_neighbor");
-        assert_eq!(DegradedSource::ProportionalSplit.name(), "proportional_split");
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! no allocation, no lock, no fingerprinting.
 //!
 //! Use is two-phase: [`CorunTable::stage`] interns the sets a placement
-//! needs, [`CorunTable::fill`] (or [`CorunTable::fill_degraded`])
-//! resolves every staged set, and [`CorunTable::power`] /
-//! [`CorunTable::makespan`] score. A score is bit-identical to solving
-//! each combination on its own: the walk performs the same float
-//! operations in the same order — idle term first, then members in slot
-//! order; `sum / count` per die; dies summed in order.
+//! needs, [`CorunTable::fill`] resolves every staged set, and
+//! [`CorunTable::power`] / [`CorunTable::makespan`] score. A score is
+//! bit-identical to solving each combination on its own: the walk
+//! performs the same float operations in the same order — idle term
+//! first, then members in slot order; `sum / count` per die; dies
+//! summed in order.
 
-use crate::assignment::{Assignment, CombinedModel, DegradedSource};
+use crate::assignment::{Assignment, CombinedModel};
 use crate::equilibrium::{CorunSet, Equilibrium};
 use crate::power::CorePowerModel;
 use crate::profile::ProcessProfile;
@@ -26,7 +26,6 @@ use crate::ModelError;
 use cmpsim::hpc::EventRates;
 use cmpsim::types::DieId;
 use mathkit::sync::CancelToken;
-use std::cell::Cell;
 use std::collections::HashMap;
 
 /// A process of the table: an index into its distinct profiles, which
@@ -46,9 +45,10 @@ struct Member {
 enum SetState {
     Pending,
     /// `ties_differ` marks members with equal fingerprints that got
-    /// different equilibrium values (the degraded tier's stale-neighbor
-    /// answer re-rates a neighbor's asymmetric split): their values then
-    /// depend on slot order and are looked up per walk.
+    /// different equilibrium values: their values then depend on slot
+    /// order and are looked up per walk. No current solver produces
+    /// such a split, but a Newton iteration that breaks a symmetric tie
+    /// asymmetrically may.
     Ready {
         ties_differ: bool,
     },
@@ -259,20 +259,6 @@ impl<'t, M: CorePowerModel> CorunTable<'t, M> {
         }
         self.sets.resolved = self.sets.sets.len();
         Ok(())
-    }
-
-    /// [`CorunTable::fill`] from the no-solve degraded tier; returns the
-    /// worst equilibrium source any staged set needed.
-    pub(crate) fn fill_degraded(&mut self) -> DegradedSource {
-        let worst = Cell::new(DegradedSource::ExactCache);
-        let pending = self.sets.resolved..self.sets.sets.len();
-        let (features, keys) = self.canonical_sets(pending.clone());
-        for ((s, set), key) in pending.zip(&features).zip(&keys) {
-            let res = self.model.resolve_degraded(&set.features, key, &worst);
-            self.settle(s, res);
-        }
-        self.sets.resolved = self.sets.sets.len();
-        worst.get()
     }
 
     /// Features and memo-cache keys of the sets in `range`, in canonical

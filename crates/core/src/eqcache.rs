@@ -69,25 +69,6 @@ fn shard_of(key: &[u64]) -> usize {
     (z as usize) & (SHARDS - 1)
 }
 
-/// Multiset intersection size of two sorted fingerprint lists (canonical
-/// keys are sorted, so a linear two-pointer sweep suffices).
-fn shared_fingerprints(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut shared) = (0, 0, 0);
-    // lint:allow(cancellation_propagation) -- bounded two-pointer sweep: i or j advances every iteration
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                shared += 1;
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    shared
-}
-
 impl EquilibriumCache {
     /// A cache bounded at `capacity` total entries, rounded up to a
     /// multiple of the shard count so every shard gets the same bound
@@ -112,48 +93,6 @@ impl EquilibriumCache {
     pub fn get(&self, key: &[u64]) -> Option<Equilibrium> {
         let mut shard = self.lock(key);
         shard.get(key).cloned()
-    }
-
-    /// Looks up the canonical key *without* promoting it — a stale read
-    /// for the degraded path, which must not distort the recency order
-    /// the healthy path's eviction decisions rely on.
-    pub fn peek(&self, key: &[u64]) -> Option<Equilibrium> {
-        self.lock(key).peek(key).cloned()
-    }
-
-    /// Finds the nearest same-cardinality neighbor of `key`: a cached
-    /// entry with the same co-runner count sharing all but at most one
-    /// content fingerprint. Used by the serving layer's degraded tier —
-    /// a stale answer for an *almost* identical co-run beats the
-    /// proportional closed form when one is available.
-    ///
-    /// Ties are broken deterministically (most shared fingerprints, then
-    /// lexicographically smallest key), independent of shard layout and
-    /// recency order, so concurrent healthy traffic cannot change which
-    /// neighbor a given cache population yields. Returns the winning key
-    /// together with its equilibrium; no promotion happens.
-    pub fn neighbor(&self, key: &[u64]) -> Option<(Vec<u64>, Equilibrium)> {
-        let mut best: Option<(usize, Vec<u64>, Equilibrium)> = None;
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (k, v) in shard.iter() {
-                if k.len() != key.len() || k.as_slice() == key {
-                    continue;
-                }
-                let shared = shared_fingerprints(key, k);
-                if shared + 1 < key.len() {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bs, bk, _)) => shared > *bs || (shared == *bs && *k < *bk),
-                };
-                if better {
-                    best = Some((shared, k.clone(), v.clone()));
-                }
-            }
-        }
-        best.map(|(_, k, v)| (k, v))
     }
 
     /// Memoizes a canonical-order solve under its canonical key.
@@ -263,44 +202,6 @@ mod tests {
         let st = cache.stats();
         assert_eq!(st.hits, 1);
         assert_eq!(st.misses, 1);
-    }
-
-    #[test]
-    fn peek_is_stale_no_promotion_no_counters() {
-        let cache = EquilibriumCache::new(8);
-        cache.insert(vec![7, 8], dummy_eq(3.5));
-        let got = cache.peek(&[7, 8]).expect("stored entry");
-        assert_eq!(got.window.to_bits(), 3.5f64.to_bits());
-        assert!(cache.peek(&[9, 9]).is_none());
-        let st = cache.stats();
-        assert_eq!(st.hits, 0, "peek must not count as a hit");
-        assert_eq!(st.misses, 0, "peek must not count as a miss");
-    }
-
-    #[test]
-    fn neighbor_finds_off_by_one_key_of_same_cardinality() {
-        let cache = EquilibriumCache::new(64);
-        cache.insert(vec![10, 20, 30], dummy_eq(1.0));
-        cache.insert(vec![10, 20], dummy_eq(2.0)); // wrong cardinality
-        cache.insert(vec![11, 21, 31], dummy_eq(3.0)); // shares nothing
-        let (k, eq) = cache.neighbor(&[10, 20, 99]).expect("off-by-one neighbor");
-        assert_eq!(k, vec![10, 20, 30]);
-        assert_eq!(eq.window.to_bits(), 1.0f64.to_bits());
-        // Two-away keys never qualify.
-        assert!(cache.neighbor(&[10, 98, 99]).is_none());
-        // An exact match is not its own neighbor.
-        assert!(cache.neighbor(&[10, 20, 30]).is_none());
-    }
-
-    #[test]
-    fn neighbor_tie_break_is_smallest_key() {
-        let cache = EquilibriumCache::new(64);
-        cache.insert(vec![10, 20, 31], dummy_eq(1.0));
-        cache.insert(vec![10, 20, 30], dummy_eq(2.0));
-        // Both share {10, 20} with the probe; the lexicographically
-        // smaller key wins regardless of insertion/recency order.
-        let (k, _) = cache.neighbor(&[10, 20, 99]).expect("neighbor");
-        assert_eq!(k, vec![10, 20, 30]);
     }
 
     #[test]

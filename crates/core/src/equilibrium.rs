@@ -182,10 +182,8 @@ pub struct Equilibrium {
 
 impl Equilibrium {
     /// Derives per-process MPA/SPI/APS from each feature's own curves at
-    /// the given sizes. Crate-visible so the degraded estimation tier can
-    /// re-rate a neighbor's cache split against the requesting co-run's
-    /// own features.
-    pub(crate) fn from_sizes(
+    /// the given sizes.
+    fn from_sizes(
         features: &[&FeatureVector],
         sizes: Vec<f64>,
         window: f64,
@@ -1036,8 +1034,7 @@ pub fn solve_robust(
 /// [`ModelError::Math`]`(`[`mathkit::MathError::Cancelled`]`)` — it does
 /// *not* fall through to the proportional heuristic, because a caller
 /// that imposed a deadline wants the worker back, not a degraded answer
-/// it no longer has time to use (the serving layer decides separately
-/// whether to answer degraded). Bit-identical to [`solve_robust`] under
+/// it no longer has time to use. Bit-identical to [`solve_robust`] under
 /// a never-firing token.
 ///
 /// # Errors
@@ -1050,52 +1047,6 @@ pub fn solve_robust_cancellable(
     cancel: &CancelToken,
 ) -> Result<Equilibrium, ModelError> {
     solve_with(features, assoc, Strategy::Robust(*opts), cancel)
-}
-
-/// The proportional-to-API closed-form split — [`solve_robust`]'s stage-4
-/// last resort, exposed directly so the serving layer's circuit breaker
-/// can answer degraded requests without running (and failing) the full
-/// chain first.
-///
-/// Always succeeds on valid inputs, never iterates, and is explicitly
-/// flagged [`SolveDiagnostics::degraded`] (method
-/// [`SolveMethod::ProportionalShare`], window 0): the split ignores the
-/// equilibrium condition entirely. Idle (`API == 0`) processes get zero
-/// ways, actives split `A` proportionally to API; the shares are summed
-/// in canonical fingerprint order so the result is bit-independent of
-/// the caller's process order, like the full solvers.
-///
-/// # Errors
-///
-/// [`ModelError::EmptyInput`] / [`ModelError::EquilibriumFailed`] for
-/// structurally invalid inputs, as for [`solve`].
-pub fn solve_proportional(
-    features: &[&FeatureVector],
-    assoc: usize,
-) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
-    let a = assoc as f64;
-    let k = features.len();
-    let active: Vec<usize> = (0..k).filter(|&i| features[i].api() > 0.0).collect();
-    if active.is_empty() {
-        let diag = SolveDiagnostics::direct(SolveMethod::ClosedForm, 0, 0.0);
-        return Ok(Equilibrium::from_sizes(features, vec![0.0; k], 0.0, false, diag));
-    }
-    let mut order = active;
-    order.sort_by_key(|&i| (features[i].content_fingerprint(), i));
-    let api_total: f64 = order.iter().map(|&i| features[i].api()).sum();
-    let mut sizes = vec![0.0; k];
-    for &i in &order {
-        sizes[i] = a * features[i].api() / api_total;
-    }
-    let diag = SolveDiagnostics {
-        method: SolveMethod::ProportionalShare,
-        iterations: 0,
-        residual: 0.0,
-        fallbacks: Vec::new(),
-        degraded: true,
-    };
-    Ok(Equilibrium::from_sizes(features, sizes, 0.0, true, diag))
 }
 
 /// The staged fallback chain over canonically ordered active features.
@@ -1675,7 +1626,9 @@ mod tests {
         let a = fv(SpecWorkload::Mcf);
         let b = fv(SpecWorkload::Gzip);
         let idle = idle_fv(16);
-        let eq = solve_proportional(&[&a, &idle, &b], 16).unwrap();
+        // No time budget forces the chain straight to its stage-4 split.
+        let opts = SolveOptions { time_budget_s: 0.0, ..Default::default() };
+        let eq = solve_robust(&[&a, &idle, &b], 16, &opts).unwrap();
         assert_eq!(eq.diagnostics.method, SolveMethod::ProportionalShare);
         assert!(eq.diagnostics.degraded);
         assert_eq!(eq.sizes[1], 0.0, "idle process holds no ways");
@@ -1684,15 +1637,11 @@ mod tests {
         // Shares follow API ratios exactly.
         assert!((eq.sizes[0] / eq.sizes[2] - a.api() / b.api()).abs() < 1e-12);
         // Bit-independent of caller order, like the full solvers.
-        let flipped = solve_proportional(&[&b, &idle, &a], 16).unwrap();
+        let flipped = solve_robust(&[&b, &idle, &a], 16, &opts).unwrap();
+        assert_eq!(flipped.diagnostics.method, SolveMethod::ProportionalShare);
         assert_eq!(eq.sizes[0].to_bits(), flipped.sizes[2].to_bits());
+        assert_eq!(eq.sizes[1].to_bits(), flipped.sizes[1].to_bits());
         assert_eq!(eq.sizes[2].to_bits(), flipped.sizes[0].to_bits());
-        // Matches robust's stage-4 answer when the chain is forced there.
-        let opts = SolveOptions { time_budget_s: 0.0, ..Default::default() };
-        let forced = solve_robust(&[&a, &idle, &b], 16, &opts).unwrap();
-        for i in 0..3 {
-            assert_eq!(eq.sizes[i].to_bits(), forced.sizes[i].to_bits(), "proc {i}");
-        }
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! scrambled process order because all decisions are made in canonical
 //! content order.
 
-use crate::assignment::{Assignment, CombinedModel, DegradedEstimate, DegradedSource};
+use crate::assignment::{Assignment, CombinedModel};
 use crate::corun::{CorunTable, Pid};
 use crate::power::CorePowerModel;
 use crate::profile::ProcessProfile;
@@ -59,7 +59,6 @@ use crate::ModelError;
 use mathkit::sync::CancelToken;
 use rand::Rng;
 use rand::SeedableRng;
-use std::cell::Cell;
 use std::collections::HashSet;
 
 /// What the optimizer minimizes.
@@ -588,53 +587,6 @@ fn next_choice(choice: &mut [usize], cores: usize) -> bool {
         *core = 0;
     }
     false
-}
-
-/// A fast, solver-free placement for the service's degraded tier: greedy
-/// min-power construction where every estimate comes from the no-solve
-/// degraded estimator (stale cache entries, neighbor splits, or the
-/// proportional closed form — see
-/// [`CombinedModel::estimate_processor_power_degraded`]). Reports the
-/// worst equilibrium source any step needed so callers can tag the
-/// answer honestly.
-///
-/// # Errors
-///
-/// Validation errors as for [`optimize`]; the degraded tiers themselves
-/// cannot fail on valid inputs.
-pub fn greedy_min_power_degraded<M: CorePowerModel>(
-    model: &CombinedModel<'_, M>,
-    profiles: &[ProcessProfile],
-    processes: &[usize],
-) -> Result<(Assignment, DegradedEstimate), ModelError> {
-    let inst = Instance::new(model, profiles, processes)?;
-    let worst = Cell::new(DegradedSource::ExactCache);
-    let mut asg = Assignment::new(inst.num_cores);
-    let mut last = 0.0;
-    for &p in &inst.procs {
-        let mut best: Option<(f64, usize)> = None;
-        for core in 0..inst.num_cores {
-            let cand = asg.try_with_assigned(core, p)?;
-            let est = model.estimate_processor_power_degraded(profiles, &cand)?;
-            if est.source > worst.get() {
-                worst.set(est.source);
-            }
-            let better = match &best {
-                None => true,
-                Some((w, _)) => est.power_w.total_cmp(w) == std::cmp::Ordering::Less,
-            };
-            if better {
-                best = Some((est.power_w, core));
-            }
-        }
-        // Instance::new rejected zero-core machines, so a core was found.
-        let Some((power, core)) = best else {
-            return Err(ModelError::EmptyInput("machine cores"));
-        };
-        asg.try_assign(core, p)?;
-        last = power;
-    }
-    Ok((asg, DegradedEstimate { power_w: last, source: worst.get() }))
 }
 
 /// What a search engine hands back to [`Search::finish`].
@@ -1235,18 +1187,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(got.assignment.num_processes(), 3);
-    }
-
-    #[test]
-    fn degraded_greedy_places_everything_and_tags_source() {
-        let m = tiny_server();
-        let pm = synthetic_power_model(&m);
-        let profiles = profile_set(&m, 4);
-        let cm = CombinedModel::new(&m, &pm);
-        // Cold cache: everything must come from the proportional tier.
-        let (asg, est) = greedy_min_power_degraded(&cm, &profiles, &[0, 1, 2, 3]).unwrap();
-        assert_eq!(asg.num_processes(), 4);
-        assert!(est.power_w.is_finite());
-        assert_eq!(est.source, DegradedSource::ProportionalSplit);
     }
 }

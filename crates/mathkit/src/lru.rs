@@ -122,16 +122,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Looks up `key` without promoting it and without touching the
-    /// hit/miss counters (diagnostics / tests).
-    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.map.get(key).map(|&slot| &self.entries[slot].value)
-    }
-
     /// Inserts `key -> value` as the most-recently-used entry, returning
     /// the evicted `(key, value)` pair if the cache was full. Re-inserting
     /// an existing key replaces its value and promotes it (no eviction).
@@ -179,16 +169,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         None
     }
 
-    /// Iterates entries from most- to least-recently-used.
-    ///
-    /// The order is the recency list, not `HashMap` iteration order, so
-    /// it is deterministic for a given operation history — callers that
-    /// scan the cache (e.g. the equilibrium cache's stale-neighbor
-    /// lookup) stay reproducible across runs.
-    pub fn iter(&self) -> Iter<'_, K, V> {
-        Iter { cache: self, slot: self.head }
-    }
-
     /// Drops every entry (counters are kept).
     pub fn clear(&mut self) {
         self.map.clear();
@@ -226,26 +206,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         if self.tail == NIL {
             self.tail = slot;
         }
-    }
-}
-
-/// Iterator over an [`LruCache`] in most- to least-recently-used order.
-#[derive(Debug)]
-pub struct Iter<'a, K, V> {
-    cache: &'a LruCache<K, V>,
-    slot: usize,
-}
-
-impl<'a, K, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.slot == NIL {
-            return None;
-        }
-        let entry = &self.cache.entries[self.slot];
-        self.slot = entry.next;
-        Some((&entry.key, &entry.value))
     }
 }
 
@@ -289,7 +249,8 @@ mod tests {
         lru.insert(1, 10);
         lru.insert(2, 20);
         assert!(lru.insert(1, 11).is_none(), "replacement must not evict");
-        assert_eq!(lru.peek(&1), Some(&11));
+        assert_eq!(order(&lru), vec![1, 2]);
+        assert_eq!(lru.get(&1), Some(&11));
         // 2 is now LRU.
         assert_eq!(lru.insert(3, 30), Some((2, 20)));
     }
@@ -310,17 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_promote_or_count() {
-        let mut lru = LruCache::new(2);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        assert_eq!(lru.peek(&1), Some(&10));
-        assert_eq!(lru.hits(), 0);
-        // 1 was not promoted, so it is still the LRU entry.
-        assert_eq!(lru.insert(3, 30), Some((1, 10)));
-    }
-
-    #[test]
     fn clear_keeps_counters() {
         let mut lru = LruCache::new(2);
         lru.insert(1, 10);
@@ -331,20 +281,6 @@ mod tests {
         lru.insert(2, 20);
         assert_eq!(lru.get(&2), Some(&20));
         assert_eq!(order(&lru), vec![2]);
-    }
-
-    #[test]
-    fn iter_walks_recency_order() {
-        let mut lru = LruCache::new(3);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        lru.insert(3, 30);
-        lru.get(&1); // promote
-        let seen: Vec<(u32, u32)> = lru.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(seen, vec![(1, 10), (3, 30), (2, 20)]);
-        assert_eq!(lru.iter().count(), lru.len());
-        let empty: LruCache<u32, u32> = LruCache::new(4);
-        assert_eq!(empty.iter().count(), 0);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! - The **server** ([`PredictionService::with_chaos`]
 //!   (crate::server::PredictionService::with_chaos)) injects
-//!   [`FaultPlan::solver_spike`] latency before exact solves, which
-//!   drives deadline expiries and trips the circuit breaker without
-//!   needing a genuinely broken solver.
+//!   [`FaultPlan::solver_spike`] latency before each solve, which
+//!   drives deadline expiries and admission shedding without needing a
+//!   genuinely slow solver.
 //! - The **load generator** (`mpmc-bench overload`) uses
 //!   [`FaultPlan::wire_fault`] to pick per-request wire misbehavior:
 //!   malformed JSON floods, slow-loris byte-at-a-time writers, mid-line

@@ -24,11 +24,6 @@
 //!   it requests are shed with a typed `overloaded` error.
 //! - [`deadline`] — per-request deadlines bridged into the solvers'
 //!   cooperative cancellation points (`deadline_exceeded`).
-//! - [`singleflight`] — concurrent identical estimates coalesce into
-//!   one solve (bit-exact, because the model is deterministic).
-//! - [`breaker`] — a clock-free circuit breaker that switches to
-//!   explicitly tagged degraded estimates when exact solves keep
-//!   failing, with count-based half-open recovery.
 //! - [`chaos`] — a seeded, deterministic fault plan for chaos testing
 //!   the above (solver latency spikes, wire faults).
 
@@ -41,13 +36,11 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod admission;
-pub mod breaker;
 pub mod chaos;
 pub mod deadline;
 pub mod errors;
 pub mod json;
 pub mod server;
-pub mod singleflight;
 
 pub use errors::{classify_model_error, exit_code, kind_name, ServiceError};
 pub use server::{PredictionService, ServeOptions};

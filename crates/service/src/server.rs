@@ -15,9 +15,9 @@
 //! |--------------|---------------------------------------|-----------------|
 //! | `register`   | `name`, `profile` (persist v1 text)   | `replaced`, `fingerprint` |
 //! | `unregister` | `name`                                | — |
-//! | `estimate`   | `assignment` (per-core name arrays), `deadline_ms`? | `power_w`, `degraded`? |
-//! | `assign`     | `process`, `current`?, `cores`?, `deadline_ms`?     | `best_core`, `best_power_w`, `candidates`, `degraded`? |
-//! | `optimize`   | `processes` (name array), `objective`?, `seed`?, `deadline_ms`? | `placement`, `power_w`, `makespan`, `method`, `evaluated`, `pruned`, `degraded`? |
+//! | `estimate`   | `assignment` (per-core name arrays), `deadline_ms`? | `power_w`, `processes` |
+//! | `assign`     | `process`, `current`?, `cores`?, `deadline_ms`?     | `best_core`, `best_power_w`, `candidates` |
+//! | `optimize`   | `processes` (name array), `objective`?, `seed`?, `deadline_ms`? | `placement`, `power_w`, `makespan`, `method`, `evaluated`, `pruned` |
 //! | `stats`      | —                                     | counters, cache + latency + overload stats |
 //! | `ping`       | —                                     | — |
 //! | `shutdown`   | —                                     | — (daemon stops) |
@@ -40,29 +40,22 @@
 //!    becomes a cooperative [`CancelToken`](mathkit::sync::CancelToken)
 //!    polled inside solver iterations; expiry is the typed
 //!    `deadline_exceeded` error. `deadline_ms: 0` expires instantly.
-//! 3. **Breaker** — a clock-free circuit breaker ([`crate::breaker`])
-//!    over exact-solve outcomes; while open, answers come from the
-//!    degraded tier (exact cache peek, stale neighbor, proportional
-//!    closed form) and are tagged `"degraded": true` with a
-//!    `degraded_source`.
-//! 4. **Single-flight** — concurrent `estimate`s for the same exact
-//!    co-run key coalesce into one solve ([`crate::singleflight`]);
-//!    bit-identical by model determinism, invisible on the wire.
+//!
+//! Each admitted request honours only its own deadline and is answered
+//! by the exact model, or fails with a typed error.
 //!
 //! Oversized request lines are discarded with a typed `line_too_long`
 //! error (the connection survives); connections beyond the TCP cap get
 //! a typed `too_many_connections` greeting and are closed.
 
 use crate::admission::AdmissionGate;
-use crate::breaker::{CircuitBreaker, Decision};
 use crate::chaos::FaultPlan;
 use crate::deadline::Deadline;
 use crate::errors::{exit_code, ServiceError};
 use crate::json::{self, Json};
-use crate::singleflight::{Flight, SingleFlight};
 use cmpsim::machine::MachineConfig;
 use mathkit::latency::LatencyHistogram;
-use mpmc_model::assignment::{Assignment, CombinedModel, DegradedSource};
+use mpmc_model::assignment::{Assignment, CombinedModel};
 use mpmc_model::persist;
 use mpmc_model::power::PowerModel;
 use mpmc_model::profile::ProcessProfile;
@@ -103,31 +96,19 @@ pub struct ServeOptions {
     /// Default `deadline_ms` applied to solve requests that do not set
     /// one (0 = no default deadline).
     pub default_deadline_ms: u64,
-    /// Sliding window of exact-solve outcomes the breaker watches.
-    pub breaker_window: usize,
-    /// Failures within the window that trip the breaker open.
-    pub breaker_threshold: u32,
-    /// Degraded requests served before the open breaker half-opens.
-    pub breaker_cooldown: u32,
-    /// How long a coalesced follower waits for its leader's solve.
-    pub singleflight_wait_ms: u64,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: 0,
-            cache_capacity: 4096,
+            cache_capacity: mpmc_model::eqcache::DEFAULT_CAPACITY,
             max_line_bytes: 1 << 20,
             max_connections: 64,
             max_inflight: 4,
             max_queued: 8,
             queue_wait_ms: 100,
             default_deadline_ms: 0,
-            breaker_window: 32,
-            breaker_threshold: 8,
-            breaker_cooldown: 16,
-            singleflight_wait_ms: 2_000,
         }
     }
 }
@@ -255,7 +236,6 @@ struct Counters {
     shutdown: AtomicU64,
     overloaded: AtomicU64,
     deadline_exceeded: AtomicU64,
-    degraded: AtomicU64,
     line_too_long: AtomicU64,
     too_many_connections: AtomicU64,
 }
@@ -289,8 +269,6 @@ pub struct PredictionService {
     latency: LatencyHistogram,
     shutdown: AtomicBool,
     gate: AdmissionGate,
-    breaker: CircuitBreaker,
-    flights: SingleFlight<Vec<u64>, Result<f64, ServiceError>>,
     chaos: Option<FaultPlan>,
     solve_events: AtomicU64,
     conn_active: AtomicUsize,
@@ -298,34 +276,17 @@ pub struct PredictionService {
 
 impl PredictionService {
     /// Creates a service for `machine` with the fitted `power` model and
-    /// default overload limits.
+    /// the given limits.
     ///
-    /// `workers` is the *resolved* candidate fan-out width (the CLI
+    /// `opts.workers` is the *resolved* candidate fan-out width (the CLI
     /// resolves `--workers` / `MPMC_WORKERS` before constructing the
-    /// service; `0` still means auto at call time). `cache_capacity`
-    /// bounds the shared equilibrium memo cache.
-    pub fn new(
-        machine: MachineConfig,
-        power: PowerModel,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::with_options(
-            machine,
-            power,
-            ServeOptions { workers, cache_capacity, ..ServeOptions::default() },
-        )
-    }
-
-    /// Creates a service with explicit overload limits.
+    /// service; `0` still means auto at call time).
     pub fn with_options(machine: MachineConfig, power: PowerModel, opts: ServeOptions) -> Self {
         let gate = AdmissionGate::new(
             opts.max_inflight,
             opts.max_queued,
             Duration::from_millis(opts.queue_wait_ms),
         );
-        let breaker =
-            CircuitBreaker::new(opts.breaker_window, opts.breaker_threshold, opts.breaker_cooldown);
         PredictionService {
             machine,
             power,
@@ -335,8 +296,6 @@ impl PredictionService {
             latency: LatencyHistogram::default(),
             shutdown: AtomicBool::new(false),
             gate,
-            breaker,
-            flights: SingleFlight::new(),
             chaos: None,
             solve_events: AtomicU64::new(0),
             conn_active: AtomicUsize::new(0),
@@ -781,29 +740,6 @@ impl PredictionService {
         }
     }
 
-    /// The exact single-flight key for an estimate: the full structural
-    /// flattening of the assignment (cores, queue order, and for every
-    /// placed process its content fingerprint plus all power-scalar
-    /// bits). Two requests get the same key only if their solves are
-    /// provably bit-identical — no hashing, so no collisions.
-    fn estimate_key(profiles: &[ProcessProfile], asg: &Assignment) -> Vec<u64> {
-        let mut key = Vec::with_capacity(1 + asg.num_cores() * 4);
-        key.push(asg.num_cores() as u64);
-        for core in 0..asg.num_cores() {
-            key.push(u64::MAX); // core separator
-            for &idx in asg.processes_on(core) {
-                let p = &profiles[idx];
-                key.push(p.feature.content_fingerprint());
-                for scalar in
-                    [p.l1rpi, p.l2rpi, p.brpi, p.fppi, p.processor_alone_w, p.idle_processor_w]
-                {
-                    key.push(scalar.to_bits());
-                }
-            }
-        }
-        key
-    }
-
     /// Parses the `assignment` spec of an estimate request.
     fn parse_estimate(
         &self,
@@ -821,23 +757,6 @@ impl PredictionService {
         Ok((profiles, asg))
     }
 
-    /// Response fields for an estimate, tagging degraded answers.
-    fn estimate_fields(
-        power: f64,
-        processes: usize,
-        degraded: Option<DegradedSource>,
-    ) -> Vec<(String, Json)> {
-        let mut fields = vec![
-            ("power_w".into(), Json::Num(power)),
-            ("processes".into(), Json::Num(processes as f64)),
-        ];
-        if let Some(source) = degraded {
-            fields.push(("degraded".into(), Json::Bool(true)));
-            fields.push(("degraded_source".into(), Json::str(source.name())));
-        }
-        fields
-    }
-
     fn op_estimate(
         &self,
         model: &CombinedModel<'_, PowerModel>,
@@ -849,39 +768,13 @@ impl PredictionService {
             return Err(ServiceError::deadline("deadline expired before the solve began"));
         }
         let (profiles, asg) = self.parse_estimate(req)?;
-        let processes = asg.num_processes();
-        match self.breaker.decide() {
-            Decision::Degraded => {
-                let est = model.estimate_processor_power_degraded(&profiles, &asg)?;
-                Counters::bump(&self.counters.degraded);
-                Ok(Self::estimate_fields(est.power_w, processes, Some(est.source)))
-            }
-            Decision::Exact | Decision::Probe => {
-                let key = Self::estimate_key(&profiles, &asg);
-                let wait = Duration::from_millis(self.opts.singleflight_wait_ms);
-                let flight = self.flights.run(key, wait, || {
-                    self.chaos_spike();
-                    let fallbacks_before = model.solver_fallbacks();
-                    let token = deadline.token();
-                    let result = model
-                        .estimate_processor_power_cancellable(&profiles, &asg, &token)
-                        .map_err(ServiceError::from);
-                    let failed = result.is_err() || model.solver_fallbacks() > fallbacks_before;
-                    self.breaker.record(failed);
-                    result
-                });
-                match flight {
-                    Flight::Led(result) | Flight::Shared(result) => {
-                        let power = result?;
-                        Ok(Self::estimate_fields(power, processes, None))
-                    }
-                    Flight::TimedOut => Err(ServiceError::overloaded(
-                        "coalesced solve did not finish within the single-flight wait",
-                    )
-                    .with_retry_after(self.retry_after_ms())),
-                }
-            }
-        }
+        self.chaos_spike();
+        let power =
+            model.estimate_processor_power_cancellable(&profiles, &asg, &deadline.token())?;
+        Ok(vec![
+            ("power_w".into(), Json::Num(power)),
+            ("processes".into(), Json::Num(asg.num_processes() as f64)),
+        ])
     }
 
     fn op_assign(
@@ -918,38 +811,15 @@ impl PredictionService {
             };
             (current, idx)
         };
-        let (estimates, degraded) = match self.breaker.decide() {
-            Decision::Degraded => {
-                let mut estimates = Vec::with_capacity(cores.len());
-                let mut worst = DegradedSource::ExactCache;
-                for &core in &cores {
-                    let trial = current.try_with_assigned(core, process_idx)?;
-                    let est = model.estimate_processor_power_degraded(&profiles, &trial)?;
-                    if est.source > worst {
-                        worst = est.source;
-                    }
-                    estimates.push(est.power_w);
-                }
-                Counters::bump(&self.counters.degraded);
-                (estimates, Some(worst))
-            }
-            Decision::Exact | Decision::Probe => {
-                self.chaos_spike();
-                let fallbacks_before = model.solver_fallbacks();
-                let token = deadline.token();
-                let result = model.estimate_candidates_cancellable(
-                    &profiles,
-                    &current,
-                    process_idx,
-                    &cores,
-                    self.opts.workers,
-                    &token,
-                );
-                let failed = result.is_err() || model.solver_fallbacks() > fallbacks_before;
-                self.breaker.record(failed);
-                (result?, None)
-            }
-        };
+        self.chaos_spike();
+        let estimates = model.estimate_candidates_cancellable(
+            &profiles,
+            &current,
+            process_idx,
+            &cores,
+            self.opts.workers,
+            &deadline.token(),
+        )?;
         // Best placement: lowest power, ties to the lowest core id (the
         // candidate list is already validated as strictly increasing).
         let mut best = 0;
@@ -968,27 +838,17 @@ impl PredictionService {
                 ])
             })
             .collect();
-        let mut fields = vec![
+        Ok(vec![
             ("process".into(), Json::str(process)),
             ("best_core".into(), Json::Num(cores[best] as f64)),
             ("best_power_w".into(), Json::Num(estimates[best])),
             ("candidates".into(), Json::Arr(candidates)),
-        ];
-        if let Some(source) = degraded {
-            fields.push(("degraded".into(), Json::Bool(true)));
-            fields.push(("degraded_source".into(), Json::str(source.name())));
-        }
-        Ok(fields)
+        ])
     }
 
     /// `optimize`: search for the best placement of a set of registered
     /// processes (repeats are separate process instances) under an
     /// objective (`power` default, `makespan`, or `capped:<watts>`).
-    /// While the breaker is open the answer comes from the solver-free
-    /// greedy min-power tier and is tagged `"degraded": true` with the
-    /// worst equilibrium source it needed and `"method":
-    /// "greedy_degraded"` — an honest best-effort placement, not the
-    /// requested objective's optimum.
     fn op_optimize(
         &self,
         model: &CombinedModel<'_, PowerModel>,
@@ -1064,44 +924,20 @@ impl PredictionService {
             Ok(Json::Arr(cores))
         };
 
-        match self.breaker.decide() {
-            Decision::Degraded => {
-                let (asg, est) = optimize::greedy_min_power_degraded(model, &profiles, &processes)?;
-                Counters::bump(&self.counters.degraded);
-                Ok(vec![
-                    ("objective".into(), Json::str(objective.spec())),
-                    ("method".into(), Json::str("greedy_degraded")),
-                    ("placement".into(), placement_json(&asg)?),
-                    ("power_w".into(), Json::Num(est.power_w)),
-                    ("degraded".into(), Json::Bool(true)),
-                    ("degraded_source".into(), Json::str(est.source.name())),
-                ])
-            }
-            Decision::Exact | Decision::Probe => {
-                self.chaos_spike();
-                let fallbacks_before = model.solver_fallbacks();
-                let token = deadline.token();
-                let opts = OptimizeOptions {
-                    workers: self.opts.workers,
-                    seed,
-                    ..OptimizeOptions::default()
-                };
-                let result =
-                    optimize::optimize(model, &profiles, &processes, objective, &opts, &token);
-                let failed = result.is_err() || model.solver_fallbacks() > fallbacks_before;
-                self.breaker.record(failed);
-                let got = result?;
-                Ok(vec![
-                    ("objective".into(), Json::str(objective.spec())),
-                    ("method".into(), Json::str(got.method.name())),
-                    ("placement".into(), placement_json(&got.assignment)?),
-                    ("power_w".into(), Json::Num(got.power_w)),
-                    ("makespan".into(), Json::Num(got.makespan)),
-                    ("evaluated".into(), Json::Num(got.evaluated as f64)),
-                    ("pruned".into(), Json::Num(got.pruned as f64)),
-                ])
-            }
-        }
+        self.chaos_spike();
+        let opts =
+            OptimizeOptions { workers: self.opts.workers, seed, ..OptimizeOptions::default() };
+        let got =
+            optimize::optimize(model, &profiles, &processes, objective, &opts, &deadline.token())?;
+        Ok(vec![
+            ("objective".into(), Json::str(objective.spec())),
+            ("method".into(), Json::str(got.method.name())),
+            ("placement".into(), placement_json(&got.assignment)?),
+            ("power_w".into(), Json::Num(got.power_w)),
+            ("makespan".into(), Json::Num(got.makespan)),
+            ("evaluated".into(), Json::Num(got.evaluated as f64)),
+            ("pruned".into(), Json::Num(got.pruned as f64)),
+        ])
     }
 
     fn op_stats(&self, model: &CombinedModel<'_, PowerModel>) -> Vec<(String, Json)> {
@@ -1121,7 +957,6 @@ impl PredictionService {
             ("errors".into(), count(&c.errors)),
             ("overloaded".into(), count(&c.overloaded)),
             ("deadline_exceeded".into(), count(&c.deadline_exceeded)),
-            ("degraded".into(), count(&c.degraded)),
             ("line_too_long".into(), count(&c.line_too_long)),
             ("too_many_connections".into(), count(&c.too_many_connections)),
         ]);
@@ -1148,19 +983,6 @@ impl PredictionService {
             ("queued".into(), Json::Num(ad.queued as f64)),
             ("max_inflight".into(), Json::Num(ad.max_inflight as f64)),
         ]);
-        let br = self.breaker.stats();
-        let breaker = Json::Obj(vec![
-            ("mode".into(), Json::str(self.breaker.mode().name())),
-            ("trips".into(), Json::Num(br.trips as f64)),
-            ("probes".into(), Json::Num(br.probes as f64)),
-            ("degraded_decides".into(), Json::Num(br.degraded_decides as f64)),
-        ]);
-        let sf = self.flights.stats();
-        let singleflight = Json::Obj(vec![
-            ("leaders".into(), Json::Num(sf.leaders as f64)),
-            ("shared".into(), Json::Num(sf.shared as f64)),
-            ("timeouts".into(), Json::Num(sf.timeouts as f64)),
-        ]);
         let connections = Json::Obj(vec![
             ("active".into(), Json::Num(self.conn_active.load(Ordering::Relaxed) as f64)),
             ("max".into(), Json::Num(self.opts.max_connections as f64)),
@@ -1174,8 +996,6 @@ impl PredictionService {
             ("latency".into(), latency),
             ("workers".into(), Json::Num(self.opts.workers as f64)),
             ("admission".into(), admission),
-            ("breaker".into(), breaker),
-            ("singleflight".into(), singleflight),
             ("connections".into(), connections),
         ]
     }
@@ -1312,8 +1132,12 @@ mod tests {
         String::from_utf8(buf).unwrap()
     }
 
+    fn options() -> ServeOptions {
+        ServeOptions { workers: 1, cache_capacity: 64, ..ServeOptions::default() }
+    }
+
     fn service() -> PredictionService {
-        PredictionService::new(machine(), power_model(), 1, 64)
+        PredictionService::with_options(machine(), power_model(), options())
     }
 
     fn ask(svc: &PredictionService, model: &CombinedModel<'_, PowerModel>, req: &str) -> Json {
@@ -1363,7 +1187,6 @@ mod tests {
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
         let power = resp.get("power_w").and_then(Json::as_f64).unwrap();
         assert!(power.is_finite() && power > 0.0);
-        assert_eq!(resp.get("degraded"), None, "healthy answers are not tagged");
 
         // Assign must agree bit-for-bit with a direct CombinedModel call.
         let resp = ask(&svc, &model, r#"{"id":4,"op":"assign","process":"b","current":[["a"]]}"#);
@@ -1544,7 +1367,6 @@ mod tests {
         assert_eq!(placed, 3, "all three processes placed: {resp:?}");
         assert!(resp.get("power_w").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(resp.get("makespan").and_then(Json::as_f64).unwrap() > 0.0);
-        assert_eq!(resp.get("degraded"), None, "healthy answers are not tagged");
 
         // The makespan objective works over the same wire shape.
         let resp = ask(
@@ -1601,28 +1423,6 @@ mod tests {
             stats.get("requests").unwrap().get("optimize").and_then(Json::as_f64),
             Some(11.0)
         );
-    }
-
-    #[test]
-    fn optimize_degraded_tier_is_tagged_honestly() {
-        let (svc, _a, _b) = service_with_ab();
-        let model = svc.model();
-        for _ in 0..8 {
-            svc.breaker.record(true); // trip the default breaker
-        }
-        let resp = ask(&svc, &model, r#"{"id":1,"op":"optimize","processes":["a","b"]}"#);
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
-        assert_eq!(resp.get("degraded"), Some(&Json::Bool(true)));
-        assert_eq!(resp.get("method").and_then(Json::as_str), Some("greedy_degraded"));
-        let source = resp.get("degraded_source").and_then(Json::as_str).unwrap();
-        assert!(
-            ["exact_cache", "stale_neighbor", "proportional_split"].contains(&source),
-            "{source}"
-        );
-        let placement = resp.get("placement").and_then(Json::as_arr).unwrap();
-        let placed: usize = placement.iter().map(|q| q.as_arr().map_or(0, <[Json]>::len)).sum();
-        assert_eq!(placed, 2, "the degraded tier still places everything");
-        assert!(resp.get("power_w").and_then(Json::as_f64).unwrap().is_finite());
     }
 
     // ---- overload hardening ----
@@ -1726,12 +1526,7 @@ mod tests {
         let svc = PredictionService::with_options(
             m.clone(),
             power_model(),
-            ServeOptions {
-                workers: 1,
-                cache_capacity: 64,
-                max_line_bytes: 64,
-                ..ServeOptions::default()
-            },
+            ServeOptions { max_line_bytes: 64, ..options() },
         );
         let mut script = String::new();
         script.push_str(&format!("{{\"op\":\"ping\",\"pad\":\"{}\"}}\n", "x".repeat(200)));
@@ -1762,14 +1557,7 @@ mod tests {
         let svc = PredictionService::with_options(
             m,
             power_model(),
-            ServeOptions {
-                workers: 1,
-                cache_capacity: 64,
-                max_inflight: 1,
-                max_queued: 0,
-                queue_wait_ms: 0,
-                ..ServeOptions::default()
-            },
+            ServeOptions { max_inflight: 1, max_queued: 0, queue_wait_ms: 0, ..options() },
         );
         let a = synthetic_profile("a", 0.4, 0.03, svc.machine());
         svc.register_profile("a", a).unwrap();
@@ -1835,98 +1623,14 @@ mod tests {
     }
 
     #[test]
-    fn breaker_trip_degrades_then_probe_recovers() {
-        let m = machine();
-        let svc = PredictionService::with_options(
-            m,
-            power_model(),
-            ServeOptions {
-                workers: 1,
-                cache_capacity: 64,
-                breaker_window: 4,
-                breaker_threshold: 2,
-                breaker_cooldown: 2,
-                ..ServeOptions::default()
-            },
-        );
-        let a = synthetic_profile("a", 0.4, 0.03, svc.machine());
-        let b = synthetic_profile("b", 0.1, 0.01, svc.machine());
-        svc.register_profile("a", a).unwrap();
-        svc.register_profile("b", b).unwrap();
-        let model = svc.model();
-        let est = r#"{"op":"estimate","assignment":[["a"],["b"]]}"#;
-
-        // Warm the healthy answer (and the equilibrium cache).
-        let healthy = ask(&svc, &model, est);
-        let healthy_bits = healthy.get("power_w").and_then(Json::as_f64).unwrap().to_bits();
-
-        // Trip the breaker as if two exact solves had failed.
-        svc.breaker.record(true);
-        svc.breaker.record(true);
-        assert_eq!(svc.breaker.mode(), crate::breaker::Mode::Open);
-
-        // Cooldown: degraded answers, explicitly tagged, bit-exact here
-        // because the exact cache still holds the co-run.
-        for _ in 0..2 {
-            let resp = ask(&svc, &model, est);
-            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
-            assert_eq!(resp.get("degraded"), Some(&Json::Bool(true)));
-            assert_eq!(resp.get("degraded_source").and_then(Json::as_str), Some("exact_cache"));
-            let bits = resp.get("power_w").and_then(Json::as_f64).unwrap().to_bits();
-            assert_eq!(bits, healthy_bits, "cache-tier degraded answer is bit-exact");
-        }
-        assert_eq!(svc.breaker.mode(), crate::breaker::Mode::HalfOpen);
-
-        // The next request is the recovery probe; the solver is healthy,
-        // so it closes the breaker and the answer is untagged.
-        let resp = ask(&svc, &model, est);
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(resp.get("degraded"), None);
-        assert_eq!(svc.breaker.mode(), crate::breaker::Mode::Closed);
-
-        let stats = ask(&svc, &model, r#"{"op":"stats"}"#);
-        let br = stats.get("breaker").unwrap();
-        assert_eq!(br.get("mode").and_then(Json::as_str), Some("closed"));
-        assert!(br.get("trips").and_then(Json::as_f64).unwrap() >= 1.0);
-        assert!(br.get("probes").and_then(Json::as_f64).unwrap() >= 1.0);
-        assert_eq!(
-            stats.get("requests").unwrap().get("degraded").and_then(Json::as_f64),
-            Some(2.0)
-        );
-    }
-
-    #[test]
-    fn degraded_assign_is_tagged_and_ranks_candidates() {
-        let (svc, _a, _b) = service_with_ab();
-        let model = svc.model();
-        // Trip the default breaker (threshold 8).
-        for _ in 0..8 {
-            svc.breaker.record(true);
-        }
-        let resp = ask(&svc, &model, r#"{"id":1,"op":"assign","process":"b","current":[["a"]]}"#);
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
-        assert_eq!(resp.get("degraded"), Some(&Json::Bool(true)));
-        let source = resp.get("degraded_source").and_then(Json::as_str).unwrap();
-        assert!(
-            ["exact_cache", "stale_neighbor", "proportional_split"].contains(&source),
-            "{source}"
-        );
-        let candidates = resp.get("candidates").and_then(Json::as_arr).unwrap();
-        assert_eq!(candidates.len(), 2);
-        for cand in candidates {
-            assert!(cand.get("power_w").and_then(Json::as_f64).unwrap().is_finite());
-        }
-    }
-
-    #[test]
-    fn single_flight_coalesced_answers_are_bit_exact() {
+    fn concurrent_identical_estimates_are_bit_exact() {
         let (svc, _a, _b) = service_with_ab();
         let model = svc.model();
         let est = r#"{"id":1,"op":"estimate","assignment":[["a"],["b"]]}"#;
         let sequential = ask(&svc, &model, est);
         let expect_bits = sequential.get("power_w").and_then(Json::as_f64).unwrap().to_bits();
         // Fan the identical request out over several threads; every
-        // answer (led or shared) must carry the same bits.
+        // answer must carry the same bits.
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..6)
                 .map(|_| {
@@ -1941,9 +1645,56 @@ mod tests {
                 assert_eq!(bits, expect_bits);
             }
         });
-        let st = svc.flights.stats();
-        assert!(st.leaders >= 1);
-        assert_eq!(st.timeouts, 0);
+    }
+
+    /// Estimate bits for `a` and `b` on separate cores from a fresh,
+    /// fault-free service.
+    fn healthy_ab_bits() -> u64 {
+        let (svc, _a, _b) = service_with_ab();
+        let resp = ask(&svc, &svc.model(), r#"{"op":"estimate","assignment":[["a"],["b"]]}"#);
+        resp.get("power_w").and_then(Json::as_f64).unwrap().to_bits()
+    }
+
+    #[test]
+    fn client_errors_do_not_change_other_answers() {
+        let (svc, _a, _b) = service_with_ab();
+        let model = svc.model();
+        let capped = r#"{"op":"optimize","processes":["a","b"],"objective":"capped:0.001"}"#;
+        for _ in 0..32 {
+            let resp = ask(&svc, &model, capped);
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+        }
+        let resp = ask(&svc, &model, r#"{"op":"estimate","assignment":[["a"],["b"]]}"#);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+        assert_eq!(resp.get("degraded"), None, "{resp:?}");
+        let bits = resp.get("power_w").and_then(Json::as_f64).unwrap().to_bits();
+        assert_eq!(bits, healthy_ab_bits(), "earlier failures must not change an answer");
+    }
+
+    #[test]
+    fn request_without_deadline_never_inherits_a_deadline() {
+        let expect_bits = healthy_ab_bits();
+        let mut plan = FaultPlan::quiet(1);
+        plan.spike_one_in = 1; // every solve sleeps past the short deadline
+        plan.spike_ms = 200;
+        let (svc, _a, _b) = service_with_ab();
+        let svc = svc.with_chaos(plan);
+        let model = svc.model();
+        let short = r#"{"op":"estimate","assignment":[["a"],["b"]],"deadline_ms":50}"#;
+        let open = r#"{"op":"estimate","assignment":[["a"],["b"]]}"#;
+        std::thread::scope(|scope| {
+            let (svc, model) = (&svc, &model);
+            let first = scope.spawn(move || ask(svc, model, short));
+            // The open request must succeed in any order. Starting the
+            // short one first is the order in which a shared solve would
+            // hand it the short deadline.
+            std::thread::sleep(Duration::from_millis(20));
+            let resp = ask(svc, model, open);
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+            let bits = resp.get("power_w").and_then(Json::as_f64).unwrap().to_bits();
+            assert_eq!(bits, expect_bits);
+            first.join().unwrap();
+        });
     }
 
     #[test]
@@ -1969,13 +1720,11 @@ mod tests {
         let svc = service();
         let model = svc.model();
         let stats = ask(&svc, &model, r#"{"op":"stats"}"#);
-        for section in ["admission", "breaker", "singleflight", "connections"] {
+        for section in ["admission", "connections"] {
             assert!(stats.get(section).is_some(), "missing stats section '{section}'");
         }
         let ad = stats.get("admission").unwrap();
         assert_eq!(ad.get("max_inflight").and_then(Json::as_f64), Some(4.0));
-        let br = stats.get("breaker").unwrap();
-        assert_eq!(br.get("mode").and_then(Json::as_str), Some("closed"));
         let conn = stats.get("connections").unwrap();
         assert_eq!(conn.get("active").and_then(Json::as_f64), Some(0.0));
         assert_eq!(conn.get("max").and_then(Json::as_f64), Some(64.0));

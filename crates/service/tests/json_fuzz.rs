@@ -185,12 +185,13 @@ mod service_survival {
     use super::*;
     use cmpsim::machine::MachineConfig;
     use mpmc_model::power::PowerModel;
-    use mpmc_service::PredictionService;
+    use mpmc_service::{PredictionService, ServeOptions};
 
     fn service() -> PredictionService {
         let machine = MachineConfig::two_core_workstation();
         let power = PowerModel::from_parts(10.0, vec![2e-7, 1e-6, 3e-6, 1e-7, 1e-7]).unwrap();
-        PredictionService::new(machine, power, 1, 16)
+        let opts = ServeOptions { workers: 1, cache_capacity: 16, ..ServeOptions::default() };
+        PredictionService::with_options(machine, power, opts)
     }
 
     proptest! {

@@ -4,7 +4,7 @@
 //! into results), and a `shutdown` request must stop the daemon.
 
 use mpmc_service::json::{self, Json};
-use mpmc_service::PredictionService;
+use mpmc_service::{PredictionService, ServeOptions};
 
 use cmpsim::machine::MachineConfig;
 use mpmc_model::feature::FeatureVector;
@@ -55,7 +55,8 @@ fn concurrent_tcp_clients_get_identical_answers_and_clean_shutdown() {
     let machine = MachineConfig::two_core_workstation();
     let power = PowerModel::from_parts(10.0, vec![2e-7, 1e-6, 3e-6, 1e-7, 1e-7]).unwrap();
     // A deliberately tiny cache bound so the concurrent load churns it.
-    let service = PredictionService::new(machine.clone(), power, 2, 8);
+    let opts = ServeOptions { workers: 2, cache_capacity: 8, ..ServeOptions::default() };
+    let service = PredictionService::with_options(machine.clone(), power, opts);
     for (name, tail) in [("a", 0.40), ("b", 0.10), ("c", 0.25), ("d", 0.55)] {
         let p = synthetic_profile(name, tail, 0.02, &machine);
         assert!(!service.register_profile(name, p).unwrap());

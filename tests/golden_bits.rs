@@ -12,7 +12,6 @@
 //!   placements, alternating the four-core server and a two-die machine
 //!   with four cores per die;
 //! - `estimate_candidates` for 40 seeded partial placements;
-//! - degraded estimates on a half-warmed memo cache;
 //! - `optimize` (power, makespan, capped, infeasible cap), local search
 //!   and `brute_force`, including instances with duplicate processes,
 //!   a second profile index with identical content, and a profile that
@@ -25,7 +24,7 @@
 //! and says why in its description.
 
 use mpmc::math::sync::CancelToken;
-use mpmc::model::assignment::{Assignment, CombinedModel, DegradedSource};
+use mpmc::model::assignment::{Assignment, CombinedModel};
 use mpmc::model::optimize::{self, Objective, OptimizeOptions, Optimized};
 use mpmc::model::power::PowerModel;
 use mpmc::model::profile::ProcessProfile;
@@ -125,37 +124,6 @@ fn candidates() -> Vec<u64> {
         out.extend(got.iter().map(|x| x.to_bits()));
     }
     out
-}
-
-fn degraded() -> Vec<u64> {
-    let f = fixture(server());
-    let model = CombinedModel::new(&f.machine, &f.power);
-    let mut rng = ChaCha8Rng::seed_from_u64(0xDE6A);
-    let placements: Vec<Assignment> =
-        (0..40).map(|_| random_placement(&mut rng, 4, f.profiles.len())).collect();
-    for asg in &placements[..20] {
-        model.estimate_processor_power(&f.profiles, asg).unwrap();
-    }
-    let mut out = Vec::new();
-    for asg in &placements[20..] {
-        let est = model.estimate_processor_power_degraded(&f.profiles, asg).unwrap();
-        out.push(est.power_w.to_bits());
-        out.push(source_code(est.source));
-    }
-    let procs = [0usize, 1, 2, 3, 8, 9];
-    let (asg, est) = optimize::greedy_min_power_degraded(&model, &f.profiles, &procs).unwrap();
-    out.push(est.power_w.to_bits());
-    out.push(source_code(est.source));
-    out.extend(queues(&asg.to_queues()));
-    out
-}
-
-fn source_code(s: DegradedSource) -> u64 {
-    match s {
-        DegradedSource::ExactCache => 0,
-        DegradedSource::StaleNeighbor => 1,
-        DegradedSource::ProportionalSplit => 2,
-    }
 }
 
 fn queues(qs: &[Vec<usize>]) -> Vec<u64> {
@@ -285,10 +253,9 @@ fn local_search_4c12p() -> Vec<u64> {
 
 type Section = (&'static str, fn() -> Vec<u64>);
 
-const SECTIONS: [Section; 6] = [
+const SECTIONS: [Section; 5] = [
     ("estimates", estimates),
     ("candidates", candidates),
-    ("degraded", degraded),
     ("optimizer", optimizer),
     ("bench_instances", bench_instances),
     ("local_search_4c12p", local_search_4c12p),
@@ -326,11 +293,6 @@ fn estimates_match_goldens() {
 #[test]
 fn candidate_sweeps_match_goldens() {
     check("candidates", &candidates());
-}
-
-#[test]
-fn degraded_estimates_match_goldens() {
-    check("degraded", &degraded());
 }
 
 #[test]
