@@ -143,14 +143,19 @@ struct Outcomes {
 struct Client {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
+    /// One request line and its newline, reused across requests.
+    out: Vec<u8>,
 }
 
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // A request is one small write; Nagle would hold it back while
+        // the previous response's ACK is delayed.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(20)))?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { stream, reader })
+        Ok(Client { stream, reader, out: Vec::new() })
     }
 
     fn roundtrip(&mut self, line: &str, fault: WireFault) -> std::io::Result<Option<Json>> {
@@ -174,8 +179,10 @@ impl Client {
                 return Ok(None);
             }
             _ => {
-                self.stream.write_all(line.as_bytes())?;
-                self.stream.write_all(b"\n")?;
+                self.out.clear();
+                self.out.extend_from_slice(line.as_bytes());
+                self.out.push(b'\n');
+                self.stream.write_all(&self.out)?;
             }
         }
         self.stream.flush()?;

@@ -17,6 +17,13 @@
 //! performs the same float operations in the same order — idle term
 //! first, then members in slot order; `sum / count` per die; dies
 //! summed in order.
+//!
+//! A score is a function of each die's contents alone, so the per-die
+//! scorers [`CorunTable::die_power`] and [`CorunTable::die_makespan`]
+//! are public to the crate: the exact optimizer scores each distinct
+//! die content once and combines the results per placement, with the
+//! float operations of [`CorunTable::power`] and
+//! [`CorunTable::makespan`].
 
 use crate::assignment::{Assignment, CombinedModel};
 use crate::equilibrium::{CorunSet, Equilibrium};
@@ -27,6 +34,7 @@ use cmpsim::hpc::EventRates;
 use cmpsim::types::DieId;
 use mathkit::sync::CancelToken;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A process of the table: an index into its distinct profiles, which
 /// are ordered by (content fingerprint, profile index).
@@ -69,12 +77,51 @@ struct Set {
 /// position `j` of its equilibrium.
 #[derive(Debug, Default)]
 struct Sets {
-    index: HashMap<Box<[Pid]>, usize>,
+    index: HashMap<Box<[Pid]>, usize, BuildHasherDefault<KeyHasher>>,
     sets: Vec<Set>,
     keys: Vec<Pid>,
     members: Vec<Member>,
     /// `sets[..resolved]` are filled or failed; the rest are pending.
     resolved: usize,
+}
+
+/// A multiplicative hasher for small internal integer keys (the table's
+/// pid multisets, the exact optimizer's die-state transitions) in place
+/// of SipHash: each 8-byte word is folded in by xor, multiply and
+/// rotate, and a folded 128-bit multiply finishes, so the low bits a
+/// table indexes by depend on every word. Its maps are only looked up,
+/// never iterated, so the hash never reaches an answer.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+/// An odd multiplier with well-spread bits (the 64-bit golden ratio).
+const KEY_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(KEY_MUL).rotate_left(29);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = u128::from(self.0) * u128::from(KEY_MUL);
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
 }
 
 /// Per-process constants, indexed by pid.
@@ -369,7 +416,9 @@ impl<'t, M: CorePowerModel> CorunTable<'t, M> {
     /// Estimated makespan of the placement `queues`: per process, its
     /// queue length times its SPI averaged over the Eq. 10 combinations
     /// it runs in (alone on the die: its full-cache SPI); the maximum
-    /// over all processes, `0.0` for an empty placement.
+    /// over all processes, `0.0` for an empty placement. The maximum of
+    /// the per-die [`CorunTable::die_makespan`]s: `f64::max` does not
+    /// depend on grouping, so this is the same bits as one running max.
     ///
     /// # Errors
     ///
@@ -380,48 +429,63 @@ impl<'t, M: CorePowerModel> CorunTable<'t, M> {
         cancel: &CancelToken,
     ) -> Result<f64, ModelError> {
         let mut makespan: f64 = 0.0;
+        for die in 0..self.dies.len() {
+            makespan = makespan.max(self.die_makespan(die, queues, cancel)?);
+        }
+        Ok(makespan)
+    }
+
+    /// One die's makespan under `queues`: the largest completion of its
+    /// processes, `0.0` for an idle die.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CorunTable::power`].
+    pub(crate) fn die_makespan(
+        &mut self,
+        die: usize,
+        queues: &[Vec<Pid>],
+        cancel: &CancelToken,
+    ) -> Result<f64, ModelError> {
+        let cores = &self.dies[die];
         let ctx =
             Ctx { profiles: self.profiles, procs: &self.procs, power: self.model.power_model() };
-        for cores in &self.dies {
-            let Walk { combo, running, key, pos, spi_sum, spi_n, offsets } = &mut self.walk;
-            offsets.clear();
-            let mut slots = 0;
-            for &c in cores {
-                offsets.push(slots);
-                slots += queues[c].len();
+        let Walk { combo, running, key, pos, spi_sum, spi_n, offsets } = &mut self.walk;
+        offsets.clear();
+        let mut slots = 0;
+        for &c in cores {
+            offsets.push(slots);
+            slots += queues[c].len();
+        }
+        spi_sum.clear();
+        spi_sum.resize(slots, 0.0);
+        spi_n.clear();
+        spi_n.resize(slots, 0);
+        let sets = &self.sets;
+        walk_die(cores, queues, combo, running, cancel, |running, combo| {
+            if let [(pid, slot)] = running {
+                let at = offsets[*slot] + combo[*slot];
+                spi_sum[at] += ctx.procs.alone_spi[*pid as usize];
+                spi_n[at] += 1;
+                return Ok(());
             }
-            spi_sum.clear();
-            spi_sum.resize(slots, 0.0);
-            spi_n.clear();
-            spi_n.resize(slots, 0);
-            let sets = &self.sets;
-            let count = walk_die(cores, queues, combo, running, cancel, |running, combo| {
-                if let [(pid, slot)] = running {
-                    let at = offsets[*slot] + combo[*slot];
-                    spi_sum[at] += ctx.procs.alone_spi[*pid as usize];
-                    spi_n[at] += 1;
-                    return Ok(());
-                }
-                let s = sets.find(running, key, pos)?;
-                for (i, &(_, slot)) in running.iter().enumerate() {
-                    let at = offsets[slot] + combo[slot];
-                    spi_sum[at] += sets.member(s, running, pos, i, &ctx).spi;
-                    spi_n[at] += 1;
-                }
-                Ok(())
-            })?;
-            if count == 0 {
-                continue;
+            let s = sets.find(running, key, pos)?;
+            for (i, &(_, slot)) in running.iter().enumerate() {
+                let at = offsets[slot] + combo[slot];
+                spi_sum[at] += sets.member(s, running, pos, i, &ctx).spi;
+                spi_n[at] += 1;
             }
-            for (&c, &offset) in cores.iter().zip(offsets.iter()) {
-                let size = queues[c].len();
-                for at in offset..offset + size {
-                    if spi_n[at] == 0 {
-                        continue;
-                    }
-                    let completion = size as f64 * (spi_sum[at] / spi_n[at] as f64);
-                    makespan = makespan.max(completion);
+            Ok(())
+        })?;
+        let mut makespan: f64 = 0.0;
+        for (&c, &offset) in cores.iter().zip(offsets.iter()) {
+            let size = queues[c].len();
+            for at in offset..offset + size {
+                if spi_n[at] == 0 {
+                    continue;
                 }
+                let completion = size as f64 * (spi_sum[at] / spi_n[at] as f64);
+                makespan = makespan.max(completion);
             }
         }
         Ok(makespan)

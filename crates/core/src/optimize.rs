@@ -36,9 +36,13 @@
 //! dies sorted). For the min-makespan objective an admissible alone-SPI
 //! bound additionally prunes subtrees that cannot beat the greedy
 //! incumbent (a process on a queue of length `q` can never finish faster
-//! than `q * alone_spi`, and queues only grow). Every co-run set the
-//! instance can produce is then staged into the table and filled in one
-//! batch, and the surviving classes are scored in enumeration order.
+//! than `q * alone_spi`, and queues only grow). The walk records each
+//! leaf as one die state per die: a die's contents, interned in a trie as
+//! processes are placed. Every co-run set the instance can produce is
+//! then staged into the table and filled in one batch (the power
+//! objectives run their greedy pass only after it), and the surviving
+//! classes are scored in enumeration order from per-state die scores,
+//! each distinct die content walked once.
 //!
 //! When the distinct-leaf count exceeds
 //! [`OptimizeOptions::exhaustive_leaf_limit`], the engine switches to a
@@ -52,14 +56,15 @@
 //! content order.
 
 use crate::assignment::{Assignment, CombinedModel};
-use crate::corun::{CorunTable, Pid};
+use crate::corun::{CorunTable, KeyHasher, Pid};
 use crate::power::CorePowerModel;
 use crate::profile::ProcessProfile;
 use crate::ModelError;
 use mathkit::sync::CancelToken;
 use rand::Rng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// What the optimizer minimizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -366,6 +371,155 @@ struct Metrics {
     score: Score,
 }
 
+/// Scores one placement under `objective` from its `power` and
+/// `makespan`, computing only what the objective needs: an over-cap
+/// placement skips its makespan.
+fn metrics<C>(
+    objective: Objective,
+    ctx: &mut C,
+    power: impl FnOnce(&mut C) -> Result<f64, ModelError>,
+    makespan: impl FnOnce(&mut C) -> Result<f64, ModelError>,
+) -> Result<Metrics, ModelError> {
+    match objective {
+        Objective::MinPower => {
+            let p = power(ctx)?;
+            Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: p } })
+        }
+        Objective::MinMakespan => {
+            let m = makespan(ctx)?;
+            Ok(Metrics { power_w: None, score: Score { infeasible: false, value: m } })
+        }
+        Objective::PowerCapped { cap_w } => {
+            let p = power(ctx)?;
+            if p.total_cmp(&cap_w) == std::cmp::Ordering::Greater {
+                // Over budget: ordered after every feasible placement,
+                // least-power first, so the best infeasible placement
+                // is still tracked for the diagnostic.
+                return Ok(Metrics {
+                    power_w: Some(p),
+                    score: Score { infeasible: true, value: p },
+                });
+            }
+            let m = makespan(ctx)?;
+            Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: m } })
+        }
+    }
+}
+
+/// A per-die scorer of the co-run table: [`CorunTable::die_power`] or
+/// [`CorunTable::die_makespan`].
+type DieScore<'t, M> =
+    fn(&mut CorunTable<'t, M>, usize, &[Vec<Pid>], &CancelToken) -> Result<f64, ModelError>;
+
+/// Marks the absence of a die state: the parent of an empty die.
+const NO_STATE: u32 = u32::MAX;
+
+/// One die content met by the exact engine's walk: canonical process
+/// `process` placed on the die's core `slot`, on top of the content
+/// `parent`.
+#[derive(Debug, Clone, Copy)]
+struct DieState {
+    parent: u32,
+    process: u32,
+    slot: u32,
+    /// A die of this content's size; scoring loads the content there.
+    die: u32,
+}
+
+/// The distinct die contents of an exact search, as a trie: a state is
+/// a die's per-slot queues of canonical processes, reached from its die
+/// size's empty state by placing processes in canonical order, so its
+/// path spells out its (process, slot) pairs. Dies of one size share
+/// their empty state, and with it every content they can both hold.
+struct DieStates {
+    states: Vec<DieState>,
+    /// Empty state per die.
+    roots: Vec<u32>,
+    /// Child state per (state, process, slot). Only looked up, never
+    /// iterated.
+    next: HashMap<(u32, u32, u32), u32, BuildHasherDefault<KeyHasher>>,
+}
+
+impl DieStates {
+    fn new(cores_by_die: &[Vec<usize>]) -> Self {
+        let mut states = Vec::new();
+        let mut roots: Vec<u32> = Vec::with_capacity(cores_by_die.len());
+        for (d, cores) in cores_by_die.iter().enumerate() {
+            let same = cores_by_die[..d].iter().position(|earlier| earlier.len() == cores.len());
+            roots.push(match same {
+                Some(e) => roots[e],
+                None => {
+                    states.push(DieState { parent: NO_STATE, process: 0, slot: 0, die: d as u32 });
+                    (states.len() - 1) as u32
+                }
+            });
+        }
+        DieStates { states, roots, next: HashMap::default() }
+    }
+
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// The state of `state` with canonical process `process` added on
+    /// core `slot`, created on first use.
+    fn child(&mut self, state: u32, process: usize, slot: usize) -> u32 {
+        let DieStates { states, next, .. } = self;
+        *next.entry((state, process as u32, slot as u32)).or_insert_with(|| {
+            let die = states[state as usize].die;
+            states.push(DieState {
+                parent: state,
+                process: process as u32,
+                slot: slot as u32,
+                die,
+            });
+            (states.len() - 1) as u32
+        })
+    }
+
+    /// The die `state` is scored on.
+    fn die(&self, state: u32) -> usize {
+        self.states[state as usize].die as usize
+    }
+
+    /// `state`'s (process, slot) pairs, newest process first.
+    fn path(&self, state: u32) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut at = state;
+        std::iter::from_fn(move || {
+            let s = self.states[at as usize];
+            if s.parent == NO_STATE {
+                return None;
+            }
+            at = s.parent;
+            Some((s.process as usize, s.slot as usize))
+        })
+    }
+
+    /// The choice vector (core per canonical process) of a leaf, one
+    /// state per die.
+    fn choice(&self, leaf: &[u32], inst: &Instance) -> Vec<usize> {
+        let mut choice = vec![0; inst.procs.len()];
+        for (cores, &state) in inst.cores_by_die.iter().zip(leaf) {
+            for (k, slot) in self.path(state) {
+                choice[k] = cores[slot];
+            }
+        }
+        choice
+    }
+}
+
+/// Die power and die makespan per die state, filled on first use.
+struct DieScores {
+    power: Vec<Option<f64>>,
+    makespan: Vec<Option<f64>>,
+}
+
+impl DieScores {
+    fn new(states: usize) -> Self {
+        DieScores { power: vec![None; states], makespan: vec![None; states] }
+    }
+}
+
 /// One search: the instance, the co-run table every engine scores
 /// from, and the scratch placement staged and scored through it.
 struct Search<'t, M: CorePowerModel> {
@@ -421,31 +575,92 @@ impl<'t, M: CorePowerModel> Search<'t, M> {
     /// Scores a staged, filled placement under the search objective.
     fn score(&mut self, choice: &[usize]) -> Result<Metrics, ModelError> {
         self.load(choice);
-        let (table, queues, cancel) = (&mut self.table, &self.queues, self.cancel);
-        match self.objective {
-            Objective::MinPower => {
-                let p = table.power(queues, cancel)?;
-                Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: p } })
-            }
-            Objective::MinMakespan => {
-                let m = table.makespan(queues, cancel)?;
-                Ok(Metrics { power_w: None, score: Score { infeasible: false, value: m } })
-            }
-            Objective::PowerCapped { cap_w } => {
-                let p = table.power(queues, cancel)?;
-                if p.total_cmp(&cap_w) == std::cmp::Ordering::Greater {
-                    // Over budget: ordered after every feasible placement,
-                    // least-power first, so the best infeasible placement
-                    // is still tracked for the diagnostic.
-                    return Ok(Metrics {
-                        power_w: Some(p),
-                        score: Score { infeasible: true, value: p },
-                    });
-                }
-                let m = table.makespan(queues, cancel)?;
-                Ok(Metrics { power_w: Some(p), score: Score { infeasible: false, value: m } })
-            }
+        metrics(
+            self.objective,
+            self,
+            |s| s.table.power(&s.queues, s.cancel),
+            |s| s.table.makespan(&s.queues, s.cancel),
+        )
+    }
+
+    /// Scores an exact-search leaf, one die state per die, from the
+    /// states' memoized die scores, polling the token once.
+    fn score_leaf(
+        &mut self,
+        states: &DieStates,
+        memo: &mut DieScores,
+        leaf: &[u32],
+    ) -> Result<Metrics, ModelError> {
+        self.cancel.check()?;
+        metrics(
+            self.objective,
+            self,
+            |s| s.leaf_power(states, &mut memo.power, leaf),
+            |s| s.leaf_makespan(states, &mut memo.makespan, leaf),
+        )
+    }
+
+    /// A leaf's power: its die powers summed onto `0.0` in die order, the
+    /// float operations of [`CorunTable::power`] on the same placement.
+    fn leaf_power(
+        &mut self,
+        states: &DieStates,
+        memo: &mut [Option<f64>],
+        leaf: &[u32],
+    ) -> Result<f64, ModelError> {
+        let mut total = 0.0;
+        for &state in leaf {
+            total += self.die_score(states, state, memo, CorunTable::die_power)?;
         }
+        Ok(total)
+    }
+
+    /// A leaf's makespan: the largest of its die makespans, as
+    /// [`CorunTable::makespan`] folds them.
+    fn leaf_makespan(
+        &mut self,
+        states: &DieStates,
+        memo: &mut [Option<f64>],
+        leaf: &[u32],
+    ) -> Result<f64, ModelError> {
+        let mut makespan: f64 = 0.0;
+        for &state in leaf {
+            makespan =
+                makespan.max(self.die_score(states, state, memo, CorunTable::die_makespan)?);
+        }
+        Ok(makespan)
+    }
+
+    /// Die state `state`'s score under `score`, computed on first use
+    /// from the state's contents on its representative die. Only
+    /// successes are kept: a failed set reports its error again at every
+    /// leaf that reaches it.
+    fn die_score(
+        &mut self,
+        states: &DieStates,
+        state: u32,
+        memo: &mut [Option<f64>],
+        score: DieScore<'t, M>,
+    ) -> Result<f64, ModelError> {
+        if let Some(value) = memo[state as usize] {
+            return Ok(value);
+        }
+        // The path runs newest process first: load it backwards, then
+        // reverse each queue into canonical order.
+        let die = states.die(state);
+        let cores = &self.inst.cores_by_die[die];
+        for &c in cores {
+            self.queues[c].clear();
+        }
+        for (k, slot) in states.path(state) {
+            self.queues[cores[slot]].push(self.pids[k]);
+        }
+        for &c in cores {
+            self.queues[c].reverse();
+        }
+        let value = score(&mut self.table, die, &self.queues, self.cancel)?;
+        memo[state as usize] = Some(value);
+        Ok(value)
     }
 
     /// Converts a winning choice vector into the public [`Optimized`],
@@ -600,18 +815,18 @@ struct SearchOutcome {
     best_power: Option<(f64, Vec<usize>)>,
 }
 
-fn track_best(
-    best: &mut Option<(Score, Vec<usize>)>,
-    best_power: &mut Option<(f64, Vec<usize>)>,
+fn track_best<C: ToOwned + ?Sized>(
+    best: &mut Option<(Score, C::Owned)>,
+    best_power: &mut Option<(f64, C::Owned)>,
     metrics: &Metrics,
-    choice: &[usize],
+    choice: &C,
 ) {
     let better = match best {
         None => true,
         Some((incumbent, _)) => metrics.score.better_than(incumbent),
     };
     if better {
-        *best = Some((metrics.score, choice.to_vec()));
+        *best = Some((metrics.score, choice.to_owned()));
     }
     if let Some(p) = metrics.power_w {
         let better = match best_power {
@@ -619,35 +834,104 @@ fn track_best(
             Some((w, _)) => p.total_cmp(w) == std::cmp::Ordering::Less,
         };
         if better {
-            *best_power = Some((p, choice.to_vec()));
+            *best_power = Some((p, choice.to_owned()));
         }
     }
 }
 
-/// Depth-first enumeration over symmetry classes. Returns `Ok(None)`
-/// when the class count exceeds `limit` (local search takes over).
+/// Exhaustive search over symmetry classes. Returns `Ok(None)` when
+/// the class count exceeds `limit` (local search takes over).
 fn exact_search<M: CorePowerModel>(
     search: &mut Search<'_, M>,
     limit: u64,
 ) -> Result<Option<SearchOutcome>, ModelError> {
-    // Greedy incumbent: seeds the makespan bound and guarantees the
-    // exact answer is never worse than the constructive one.
-    let greedy_choice = greedy_construct(search)?;
-    let incumbent_bound = match search.objective {
-        Objective::MinMakespan => Some(search.score(&greedy_choice)?.score.value),
-        _ => None,
+    // Min-makespan runs greedy first: its score bounds the walk. The
+    // power objectives need no bound, so their greedy pass waits until
+    // the one batch below has filled the table.
+    let mut greedy = None;
+    let mut incumbent_bound = None;
+    if search.objective == Objective::MinMakespan {
+        let choice = greedy_construct(search)?;
+        incumbent_bound = Some(search.score(&choice)?.score.value);
+        greedy = Some(choice);
+    }
+    let Some(leaves) = enumerate_leaves(&search.inst, incumbent_bound, limit, search.cancel)?
+    else {
+        return Ok(None);
     };
 
-    // Enumerate symmetry classes, dedup by canonical key, apply the
-    // admissible makespan bound, and keep one representative choice
-    // vector per class (flat, `n` cores per leaf). Bails out as soon as
-    // the class count exceeds the limit, before any set is staged.
-    let inst = &search.inst;
-    let cancel = search.cancel;
-    let n = inst.procs.len();
+    // Stage every co-run set the instance can produce and resolve them
+    // in one batch; greedy then reads the filled table. Leaves score in
+    // enumeration order (ties keep the earlier leaf), each distinct die
+    // state once. Workers only affect the batch solve, never the bits.
+    search.table.stage_all(&search.pids);
+    search.fill()?;
+    let greedy = match greedy {
+        Some(choice) => choice,
+        None => greedy_construct(search)?,
+    };
+    let states = &leaves.states;
+    let mut memo = DieScores::new(states.len());
+    let mut best: Option<(Score, usize)> = None;
+    let mut best_power: Option<(f64, usize)> = None;
+    let mut evaluated = 0u64;
+    for (i, leaf) in leaves.iter().enumerate() {
+        let metrics = search.score_leaf(states, &mut memo, leaf)?;
+        evaluated += 1;
+        track_best(&mut best, &mut best_power, &metrics, &i);
+    }
+    let mut best = best.map(|(score, i)| (score, leaves.choice(i, &search.inst)));
+    let mut best_power = best_power.map(|(power, i)| (power, leaves.choice(i, &search.inst)));
+
+    // The greedy incumbent competes too (it is always one of the
+    // enumerated classes unless the bound pruned its subtree, which can
+    // only happen on a tie).
+    let metrics = search.score(&greedy)?;
+    evaluated += 1;
+    track_best(&mut best, &mut best_power, &metrics, greedy.as_slice());
+
+    // The greedy incumbent always scores, so `best` is populated.
+    let Some((score, choice)) = best else {
+        return Err(ModelError::EmptyInput("placements to score"));
+    };
+    Ok(Some(SearchOutcome { score, choice, evaluated, pruned: leaves.pruned, best_power }))
+}
+
+/// The exact engine's enumeration: each surviving symmetry class as one
+/// die state per die.
+struct Leaves {
+    states: DieStates,
+    /// The leaves' die states, flat, in enumeration order.
+    flat: Vec<u32>,
+    dies: usize,
+    /// Canonical-key duplicates plus makespan-bound prunes.
+    pruned: u64,
+}
+
+impl Leaves {
+    fn iter(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.flat.chunks_exact(self.dies)
+    }
+
+    /// Leaf `i`'s choice vector.
+    fn choice(&self, i: usize, inst: &Instance) -> Vec<usize> {
+        self.states.choice(&self.flat[i * self.dies..(i + 1) * self.dies], inst)
+    }
+}
+
+/// Enumerates symmetry classes, dedups them by canonical key and applies
+/// the admissible makespan bound. Returns `Ok(None)` as soon as the class
+/// count exceeds `limit`.
+fn enumerate_leaves(
+    inst: &Instance,
+    incumbent_bound: Option<f64>,
+    limit: u64,
+    cancel: &CancelToken,
+) -> Result<Option<Leaves>, ModelError> {
+    let dies = inst.cores_by_die.len();
     let mut seen: HashSet<Box<[u32]>> = HashSet::new();
     let mut scratch = LeafScratch::default();
-    let mut leaves: Vec<usize> = Vec::new();
+    let mut flat: Vec<u32> = Vec::new();
     // Equal-content processes are the only source of equivalent leaves:
     // with every class distinct, the candidate rule already yields one
     // leaf per class, so the keys are only built when a class repeats.
@@ -656,7 +940,7 @@ fn exact_search<M: CorePowerModel>(
     let mut over_limit = false;
     let mut cancelled = false;
     let mut dfs = Dfs::new(inst, incumbent_bound);
-    dfs.walk(0, &mut |queues, choice| {
+    dfs.walk(0, &mut |queues, states| {
         if cancel.is_cancelled() {
             cancelled = true;
             return false;
@@ -668,64 +952,40 @@ fn exact_search<M: CorePowerModel>(
                 return true;
             }
         }
-        if (leaves.len() / n) as u64 >= limit {
+        if (flat.len() / dies) as u64 >= limit {
             over_limit = true;
             return false;
         }
         if dedup {
             seen.insert(scratch.key.as_slice().into());
         }
-        leaves.extend_from_slice(choice);
+        flat.extend_from_slice(states);
         true
     });
-    let bound_pruned = dfs.pruned;
     if cancelled {
         return Err(ModelError::Math(mathkit::MathError::Cancelled));
     }
     if over_limit {
         return Ok(None);
     }
-    let pruned = dup_pruned + bound_pruned;
-
-    // Stage every co-run set the instance can produce, resolve them in
-    // one batch, then score in enumeration order (ties keep the earlier
-    // leaf). Workers only affect the batch solve, never the bits.
-    search.table.stage_all(&search.pids);
-    search.fill()?;
-    let mut best: Option<(Score, Vec<usize>)> = None;
-    let mut best_power: Option<(f64, Vec<usize>)> = None;
-    let mut evaluated = 0u64;
-    for choice in leaves.chunks_exact(n) {
-        let metrics = search.score(choice)?;
-        evaluated += 1;
-        track_best(&mut best, &mut best_power, &metrics, choice);
-    }
-
-    // The greedy incumbent competes too (it is always one of the
-    // enumerated classes unless the bound pruned its subtree, which can
-    // only happen on a tie).
-    let metrics = search.score(&greedy_choice)?;
-    evaluated += 1;
-    track_best(&mut best, &mut best_power, &metrics, &greedy_choice);
-
-    // The greedy incumbent always scores, so `best` is populated.
-    let Some((score, choice)) = best else {
-        return Err(ModelError::EmptyInput("placements to score"));
-    };
-    Ok(Some(SearchOutcome { score, choice, evaluated, pruned, best_power }))
+    Ok(Some(Leaves { states: dfs.states, flat, dies, pruned: dup_pruned + dfs.pruned }))
 }
 
 /// The exact engine's depth-first walk over symmetry classes: processes
 /// in canonical order, each onto a candidate core.
 struct Dfs<'a> {
     inst: &'a Instance,
-    choice: Vec<usize>,
     /// Process classes per core.
     queues: Vec<Vec<u32>>,
     /// Largest alone SPI per core (for the makespan bound).
     max_alone: Vec<f64>,
     /// Candidate cores per depth.
     candidates: Vec<Vec<usize>>,
+    /// Die and slot of each core.
+    places: Vec<(usize, usize)>,
+    /// The contents met so far, and the current one per die.
+    states: DieStates,
+    current: Vec<u32>,
     incumbent_bound: Option<f64>,
     /// Subtrees cut by the makespan bound.
     pruned: u64,
@@ -733,32 +993,40 @@ struct Dfs<'a> {
 
 impl<'a> Dfs<'a> {
     fn new(inst: &'a Instance, incumbent_bound: Option<f64>) -> Self {
-        let n = inst.procs.len();
+        let mut places = vec![(0, 0); inst.num_cores];
+        for (d, cores) in inst.cores_by_die.iter().enumerate() {
+            for (slot, &c) in cores.iter().enumerate() {
+                places[c] = (d, slot);
+            }
+        }
+        let states = DieStates::new(&inst.cores_by_die);
+        let current = states.roots.clone();
         Dfs {
             inst,
-            choice: Vec::with_capacity(n),
             queues: vec![Vec::new(); inst.num_cores],
             max_alone: vec![0.0; inst.num_cores],
-            candidates: vec![Vec::new(); n],
+            candidates: vec![Vec::new(); inst.procs.len()],
+            places,
+            states,
+            current,
             incumbent_bound,
             pruned: 0,
         }
     }
 
     /// Places process `k` and below; `visit` gets each not-yet-pruned
-    /// leaf (class queues + choice vector) and returns `false` to abort
-    /// the whole walk.
-    fn walk<V: FnMut(&[Vec<u32>], &[usize]) -> bool>(&mut self, k: usize, visit: &mut V) -> bool {
+    /// leaf (class queues + die state per die) and returns `false` to
+    /// abort the whole walk.
+    fn walk<V: FnMut(&[Vec<u32>], &[u32]) -> bool>(&mut self, k: usize, visit: &mut V) -> bool {
         let inst = self.inst;
         if k == inst.procs.len() {
-            return visit(&self.queues, &self.choice);
+            return visit(&self.queues, &self.current);
         }
         let mut candidates = std::mem::take(&mut self.candidates[k]);
         inst.candidate_cores(&self.queues, &mut candidates);
         let mut cont = true;
         for &core in &candidates {
             let prev_max = self.max_alone[core];
-            self.choice.push(core);
             self.queues[core].push(inst.classes[k]);
             self.max_alone[core] = prev_max.max(inst.alone_spi[k]);
 
@@ -771,12 +1039,15 @@ impl<'a> Dfs<'a> {
             if bounded {
                 self.pruned += 1;
             } else {
+                let (die, slot) = self.places[core];
+                let prev = self.current[die];
+                self.current[die] = self.states.child(prev, k, slot);
                 cont = self.walk(k + 1, visit);
+                self.current[die] = prev;
             }
 
             self.max_alone[core] = prev_max;
             self.queues[core].pop();
-            self.choice.pop();
             if !cont {
                 break;
             }
@@ -1169,6 +1440,92 @@ mod tests {
             optimize(&cm, &profiles, &[7], Objective::MinPower, &opts, &cancel),
             Err(ModelError::InvalidAssignment(_))
         ));
+    }
+
+    /// Asserts that every enumerated leaf's die-state power and makespan,
+    /// and its objective score, equal the co-run table's on the same
+    /// placement, bit for bit; returns the leaves' pruned count.
+    fn assert_leaves_score_like_the_table(
+        m: &MachineConfig,
+        profiles: &[ProcessProfile],
+        processes: &[usize],
+    ) -> u64 {
+        let pm = synthetic_power_model(m);
+        let cm = CombinedModel::new(m, &pm);
+        let cancel = CancelToken::never();
+        let inst = Instance::new(&cm, profiles, processes).unwrap();
+        let leaves = enumerate_leaves(&inst, None, u64::MAX, &cancel).unwrap().unwrap();
+        let mut memo = DieScores::new(leaves.states.len());
+        let mut search =
+            Search::new(&cm, profiles, processes, Objective::MinPower, 1, &cancel).unwrap();
+        search.table.stage_all(&search.pids);
+        search.fill().unwrap();
+
+        // Raw power and makespan per leaf; the median power is the cap
+        // that leaves some leaves feasible and some not.
+        let mut powers = Vec::new();
+        for (i, leaf) in leaves.iter().enumerate() {
+            let choice = leaves.choice(i, &search.inst);
+            search.load(&choice);
+            let want_p = search.table.power(&search.queues, &cancel).unwrap();
+            let want_m = search.table.makespan(&search.queues, &cancel).unwrap();
+            let p = search.leaf_power(&leaves.states, &mut memo.power, leaf).unwrap();
+            let m = search.leaf_makespan(&leaves.states, &mut memo.makespan, leaf).unwrap();
+            assert_eq!(p.to_bits(), want_p.to_bits(), "leaf {i} {choice:?}: power");
+            assert_eq!(m.to_bits(), want_m.to_bits(), "leaf {i} {choice:?}: makespan");
+            powers.push(p);
+        }
+        powers.sort_by(f64::total_cmp);
+        let cap_w = powers[powers.len() / 2];
+
+        for objective in
+            [Objective::MinPower, Objective::MinMakespan, Objective::PowerCapped { cap_w }]
+        {
+            search.objective = objective;
+            let mut memo = DieScores::new(leaves.states.len());
+            let mut infeasible = 0;
+            for (i, leaf) in leaves.iter().enumerate() {
+                let got = search.score_leaf(&leaves.states, &mut memo, leaf).unwrap();
+                let want = search.score(&leaves.choice(i, &search.inst)).unwrap();
+                assert_eq!(got.score.infeasible, want.score.infeasible, "{objective:?} leaf {i}");
+                assert_eq!(got.score.value.to_bits(), want.score.value.to_bits());
+                assert_eq!(got.power_w.map(f64::to_bits), want.power_w.map(f64::to_bits));
+                infeasible += usize::from(got.score.infeasible);
+            }
+            if let Objective::PowerCapped { .. } = objective {
+                assert!(infeasible > 0 && infeasible < powers.len(), "{infeasible} over the cap");
+            }
+        }
+        // Fewer distinct die contents than die scores: the dedup is real.
+        let mut distinct = leaves.flat.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() < leaves.flat.len(), "{} of {}", distinct.len(), leaves.flat.len());
+        leaves.pruned
+    }
+
+    #[test]
+    fn die_state_scores_match_the_table_leaf_by_leaf() {
+        let server = MachineConfig::four_core_server();
+        let profiles = profile_set(&server, 7);
+        assert_leaves_score_like_the_table(&server, &profiles, &[0, 1, 2, 3, 4, 5, 6]);
+
+        let wide = MachineConfig { dies: 2, cores_per_die: 4, ..tiny_server() };
+        let profiles = profile_set(&wide, 6);
+        assert_leaves_score_like_the_table(&wide, &profiles, &[0, 1, 2, 3, 4, 5]);
+
+        // Three dies: the die sum has an order to keep.
+        let three = MachineConfig { dies: 3, cores_per_die: 2, ..tiny_server() };
+        let profiles = profile_set(&three, 7);
+        assert_leaves_score_like_the_table(&three, &profiles, &[0, 1, 2, 3, 4, 5, 6]);
+
+        // Equal-content processes: repeated profiles, and a second
+        // profile with the first one's content, so the canonical-key
+        // dedup runs.
+        let mut profiles = profile_set(&server, 3);
+        profiles.push(profiles[0].clone());
+        let dups = assert_leaves_score_like_the_table(&server, &profiles, &[0, 0, 1, 2, 2, 3, 1]);
+        assert!(dups > 0, "equivalent leaves must be deduplicated");
     }
 
     #[test]
